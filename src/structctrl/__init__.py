@@ -11,12 +11,10 @@ from .ctrl import (
 )
 from .graph import (
     Condensation,
-    Digraph,
     condensation_report,
     condense,
     input_coverage,
     state_digraph,
-    system_digraph,
 )
 from .matching import (
     BipartiteGraph,
@@ -24,7 +22,6 @@ from .matching import (
     PerfectMatchingRequired,
     has_perfect_matching,
     maximum_matching,
-    state_bipartite,
 )
 from .mincis import (
     BruteForceCapExceeded,
@@ -51,7 +48,6 @@ from .structmat import (
     ParseError,
     ProblemInstance,
     StructMatrix,
-    column_submatrix,
     identity_pattern,
     parse_instance,
     parse_instance_blocks,

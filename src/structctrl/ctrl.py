@@ -18,17 +18,10 @@ numeric false negative, never a counterexample.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .graph import condense, input_coverage, state_digraph
-from .matching import (
-    BipartiteGraph,
-    PerfectMatchingRequired,
-    has_perfect_matching,
-    maximum_matching,
-)
+from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .structmat import ProblemInstance
 
 _MASK64 = (1 << 64) - 1
@@ -43,31 +36,21 @@ def _selected_columns(inst: ProblemInstance, j_set) -> tuple[int, ...]:
 
 
 def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
-    """Accessibility plus generic-rank test for the selected inputs."""
+    """Accessibility plus generic-rank test for the selected inputs.
+
+    Every state is reachable from the inputs exactly when every
+    non-top-linked SCC holds an actuated state, since each SCC is
+    reachable from some non-top-linked one.
+    """
     columns = _selected_columns(inst, j_set)
     if not columns:
         return False
-    selected = set(columns)
-
-    out: list[list[int]] = [[] for _ in range(inst.n)]
-    for r, c in inst.a.stars:
-        out[c].append(r)
-    reached = {r for r, j in inst.b.stars if j in selected}
-    queue = deque(reached)
-    while queue:
-        v = queue.popleft()
-        for w in out[v]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != inst.n:
+    cond = condense(state_digraph(inst.a))
+    if input_coverage(cond, inst, columns) != cond.non_top_linked:
         return False
-
-    offset = {j: inst.n + t for t, j in enumerate(columns)}
-    edges = {(c, r) for r, c in inst.a.stars}
-    edges.update((offset[j], r) for r, j in inst.b.stars if j in offset)
-    compound = BipartiteGraph(inst.n + len(columns), inst.n, frozenset(edges))
-    return len(maximum_matching(compound)) == inst.n
+    indptr, rows = inst.b.csc
+    inputs = [rows[indptr[j] : indptr[j + 1]] for j in columns]
+    return bool((_match_rows(inst.a.csc, inst.n, inputs) >= 0).all())
 
 
 def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:

@@ -1,42 +1,21 @@
-"""Digraph views of sparsity patterns and SCC condensation.
+"""The state digraph of a sparsity pattern and its SCC condensation.
 
 The state digraph of a square pattern has one vertex per state and an
-edge (i, j) exactly when entry (j, i) is a star: a star in row j,
-column i means state i feeds state j.  The system digraph adds one
-vertex per input channel, with an edge from input j to every state row
-holding a star in column j of the input pattern.  Input vertices never
-have incoming edges.
+edge c -> r exactly when entry (r, c) is a star: a star in row r,
+column c means state c feeds state r.  It is held as a scipy CSR
+adjacency, and its strongly connected components come from
+``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
 from .structmat import ProblemInstance, StructMatrix
-
-STATE = "state"
-INPUT = "input"
-
-
-@dataclass(frozen=True)
-class Digraph:
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    kinds: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        if len(self.kinds) != self.vertex_count:
-            raise ValueError("one kind tag per vertex required")
-        for kind in self.kinds:
-            if kind not in (STATE, INPUT):
-                raise ValueError(f"unknown vertex kind {kind!r}")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if self.kinds[v] == INPUT:
-                raise ValueError(f"edge ({u}, {v}) enters an input vertex")
 
 
 @dataclass(frozen=True)
@@ -71,85 +50,28 @@ class Condensation:
         return tuple(tuple(g) for g in groups)
 
 
-def state_digraph(a: StructMatrix) -> Digraph:
+def state_digraph(a: StructMatrix) -> csr_matrix:
+    """CSR adjacency of the state digraph: row c lists the states c feeds."""
     if a.rows != a.cols:
         raise ValueError("state digraph needs a square pattern")
-    edges = frozenset((c, r) for r, c in a.stars)
-    return Digraph(a.rows, edges, (STATE,) * a.rows)
+    indptr, rows = a.csc
+    return csr_matrix((np.ones(len(rows)), rows, indptr), shape=(a.rows, a.rows))
 
 
-def system_digraph(inst: ProblemInstance) -> Digraph:
-    """State digraph plus input vertices n..n+p-1 and their assignment edges."""
-    n, p = inst.n, inst.p
-    edges = {(c, r) for r, c in inst.a.stars}
-    edges.update((n + j, r) for r, j in inst.b.stars)
-    return Digraph(n + p, frozenset(edges), (STATE,) * n + (INPUT,) * p)
+def condense(g: csr_matrix) -> Condensation:
+    """SCC decomposition of a state digraph, O(V + E).
 
-
-def condense(g: Digraph) -> Condensation:
-    """Tarjan SCC decomposition, O(V + E).
-
-    Only state digraphs are condensed; pass the state digraph, not the
-    system digraph, when the pattern has inputs.
+    scipy numbers an SCC only after every SCC it reaches, so its labels
+    are already reverse topological; ``Condensation`` checks that.
     """
-    if INPUT in g.kinds:
-        raise ValueError("condense the state digraph; input vertices do not join SCCs")
-    n = g.vertex_count
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(g.edges):
-        adjacency[u].append(v)
-
-    scc_of = [-1] * n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    next_index = 0
-    scc_count = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, child = work[-1]
-            if child == 0:
-                index[v] = low[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            while child < len(adjacency[v]):
-                w = adjacency[v][child]
-                child += 1
-                if index[w] == -1:
-                    work[-1] = (v, child)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = scc_count
-                    if w == v:
-                        break
-                scc_count += 1
-
-    dag_edges = frozenset(
-        (scc_of[u], scc_of[v]) for u, v in g.edges if scc_of[u] != scc_of[v]
-    )
-    entered = {k for _, k in dag_edges}
-    non_top = frozenset(range(scc_count)) - entered
-    return Condensation(tuple(scc_of), scc_count, dag_edges, non_top)
+    count, labels = connected_components(g, directed=True, connection="strong")
+    tails = np.repeat(labels, np.diff(g.indptr))
+    heads = labels[g.indices]
+    cross = tails != heads
+    entered = heads[cross].tolist()
+    dag_edges = frozenset(zip(tails[cross].tolist(), entered))
+    non_top = frozenset(range(count)).difference(entered)
+    return Condensation(tuple(labels.tolist()), count, dag_edges, non_top)
 
 
 def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
@@ -158,13 +80,9 @@ def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozense
     for j in selected:
         if not 0 <= j < inst.p:
             raise IndexError(f"input index {j} out of range for {inst.p} inputs")
-    covered = set()
-    for r, j in inst.b.stars:
-        if j in selected:
-            s = cond.scc_id[r]
-            if s in cond.non_top_linked:
-                covered.add(s)
-    return frozenset(covered)
+    indptr, rows = inst.b.csc
+    actuated = {cond.scc_id[r] for j in selected for r in rows[indptr[j] : indptr[j + 1]].tolist()}
+    return cond.non_top_linked & actuated
 
 
 def condensation_report(cond: Condensation, names=None) -> str:

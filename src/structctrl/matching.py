@@ -1,17 +1,19 @@
-"""Bipartite matching machinery for generic-rank questions.
+"""Bipartite matching for generic-rank questions.
 
-The state bipartite graph duplicates the states: left vertex i is state
-i viewed as a column (an origin), right vertex j is state j viewed as a
-row (a destination), and edges mirror the state digraph.  A matching
-saturating every right vertex certifies generic full rank of the square
-pattern; the right vertices left unmatched are the rows no column can
-claim.
+A pattern's columns are the left vertices and its rows the right
+vertices, with one edge per star.  A matching saturating every row
+certifies generic full row rank; the rows left unmatched are the rows
+no column can claim.  Maximum matchings come from
+``scipy.sparse.csgraph.maximum_bipartite_matching``, in O(E sqrt(V)).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .structmat import StructMatrix
 
@@ -54,82 +56,36 @@ class Matching:
         return len(self.pairs)
 
 
-def state_bipartite(a: StructMatrix) -> BipartiteGraph:
-    if a.rows != a.cols:
-        raise ValueError("state bipartite graph needs a square pattern")
-    return BipartiteGraph(a.rows, a.rows, frozenset((c, r) for r, c in a.stars))
+def _match_rows(csc: tuple[np.ndarray, np.ndarray], row_count: int, extra=()) -> np.ndarray:
+    """Column matched to each row in a maximum matching, or -1.
+
+    ``csc`` holds the columns as ``(indptr, rows)``, the way
+    ``StructMatrix.csc`` gives them; each row list in ``extra`` adds one
+    more column, numbered after those.  Deterministic for equal input.
+    """
+    indptr, rows = csc
+    if extra:
+        sizes = [len(column) for column in extra]
+        indptr = np.concatenate((indptr, indptr[-1] + np.cumsum(sizes, dtype=np.int32)))
+        rows = np.concatenate([rows, *(np.asarray(column, dtype=np.int32) for column in extra)])
+    graph = csr_matrix((np.ones(len(rows)), rows, indptr), shape=(len(indptr) - 1, row_count))
+    return maximum_bipartite_matching(graph, perm_type="row")
 
 
 def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Hopcroft-Karp, O(sqrt(L + R) * E).
-
-    Deterministic: adjacency is scanned in sorted order, so equal inputs
-    give equal matchings, not merely equal sizes.
-    """
-    adjacency: list[list[int]] = [[] for _ in range(g.left_count)]
-    for l, r in sorted(g.edges):
-        adjacency[l].append(r)
-    match_left = [-1] * g.left_count
-    match_right = [-1] * g.right_count
-    unreached = g.left_count + g.right_count + 1
-    dist = [0] * g.left_count
-
-    def layer() -> bool:
-        queue: deque[int] = deque()
-        for l in range(g.left_count):
-            if match_left[l] == -1:
-                dist[l] = 0
-                queue.append(l)
-            else:
-                dist[l] = unreached
-        free_right_seen = False
-        while queue:
-            l = queue.popleft()
-            for r in adjacency[l]:
-                m = match_right[r]
-                if m == -1:
-                    free_right_seen = True
-                elif dist[m] == unreached:
-                    dist[m] = dist[l] + 1
-                    queue.append(m)
-        return free_right_seen
-
-    def augment(start: int) -> bool:
-        # Alternating DFS along the layering, kept iterative so deep
-        # augmenting paths cannot hit the recursion limit.
-        stack = [(start, iter(adjacency[start]))]
-        trail: list[int] = []
-        while stack:
-            l, neighbors = stack[-1]
-            for r in neighbors:
-                m = match_right[r]
-                if m == -1:
-                    trail.append(r)
-                    for (lv, _), rv in zip(stack, trail):
-                        match_left[lv] = rv
-                        match_right[rv] = lv
-                    return True
-                if dist[m] == dist[l] + 1:
-                    trail.append(r)
-                    stack.append((m, iter(adjacency[m])))
-                    break
-            else:
-                dist[l] = unreached
-                stack.pop()
-                if trail:
-                    trail.pop()
-        return False
-
-    while layer():
-        for l in range(g.left_count):
-            if match_left[l] == -1:
-                augment(l)
-
-    pairs = frozenset((l, r) for l, r in enumerate(match_left) if r != -1)
-    free = frozenset(r for r, m in enumerate(match_right) if m == -1)
+    """A maximum matching of ``g``, the same one for equal graphs."""
+    edges = sorted(g.edges)
+    indptr = np.zeros(g.left_count + 1, dtype=np.int32)
+    np.cumsum(np.bincount([l for l, _ in edges], minlength=g.left_count), out=indptr[1:])
+    rights = np.array([r for _, r in edges], dtype=np.int32)
+    owner = _match_rows((indptr, rights), g.right_count).tolist()
+    pairs = frozenset((l, r) for r, l in enumerate(owner) if l >= 0)
+    free = frozenset(r for r, l in enumerate(owner) if l < 0)
     return Matching(pairs, free)
 
 
 def has_perfect_matching(a: StructMatrix) -> bool:
-    """True when the state bipartite graph saturates every right vertex."""
-    return len(maximum_matching(state_bipartite(a))) == a.rows
+    """True when some matching of the square pattern saturates every row."""
+    if a.rows != a.cols:
+        raise ValueError("perfect matching needs a square pattern")
+    return bool((_match_rows(a.csc, a.rows) >= 0).all())

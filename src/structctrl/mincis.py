@@ -11,14 +11,15 @@ and ``brute_force_mincis`` enumerates subsets directly as a slow,
 assumption-free referee.
 
 ``dedicated_input_selection`` solves the one-input-per-state special
-case in polynomial time: take a maximum matching of the state bipartite
-graph, steered so that unmatched rows land in as many distinct
-non-top-linked SCCs as possible, then actuate every unmatched row plus
-one representative of each non-top-linked SCC that got none.  Unmatched
-rows are forced by the rank condition and representatives by
-accessibility; steering one unmatched row into a fresh SCC can never
-save more than the one representative it replaces, so the count is
-optimal.
+case in polynomial time from one maximum matching (Commault and Dion,
+Automatica 2013): extend the state pattern by one phantom column per
+non-top-linked SCC, with a star on each member of that SCC, then
+actuate every row no real column matches plus one representative of
+each non-top-linked SCC none of those rows falls in.  Unmatched rows
+are forced by the rank condition and representatives by accessibility.
+With k non-top-linked SCCs and nu the size of the extended matching,
+every selection needs at least n + k - nu states and this one uses at
+most that many, so it is optimal.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ctrl import is_structurally_controllable
 from .graph import Condensation, condense, state_digraph
-from .matching import PerfectMatchingRequired, has_perfect_matching
+from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .setcover import SetCoverInstance, exact_min_cover, greedy_cover
-from .structmat import ProblemInstance, StructMatrix, identity_pattern
+from .structmat import ProblemInstance, StructMatrix
 
 
 class InfeasibleInstance(ValueError):
@@ -149,38 +149,23 @@ def brute_force_mincis(inst: ProblemInstance, cap: int = 20) -> SelectionResult:
 
 
 def _biased_unmatched_rows(a: StructMatrix, cond: Condensation) -> frozenset[int]:
-    """Rows unmatched by a maximum matching chosen to spread them across
-    distinct non-top-linked SCCs.
+    """Rows no real column matches in one maximum matching of the state
+    pattern extended by a phantom column per non-top-linked SCC.
 
-    Cast as one rectangular assignment: real left vertices (columns of
-    the pattern) keep their star edges at a weight that dominates any
-    number of tie-break edges, and each non-top-linked SCC contributes a
-    phantom left vertex connected to its members at weight one.  The
-    optimum then maximizes the true matching size first and the number
-    of distinct SCCs holding an unmatched row second, in O(n^3).
+    A phantom column has a star on every member of its SCC, so each
+    phantom that finds a row marks one more SCC holding an unmatched row.
     """
-    n = a.rows
     members = cond.members()
-    sources = sorted(cond.non_top_linked)
-    heavy = n + 1
-    weight = np.zeros((n + len(sources), n), dtype=np.int64)
-    for r, c in a.stars:
-        weight[c, r] = heavy
-    for t, s in enumerate(sources):
-        for v in members[s]:
-            weight[n + t, v] = 1
-    left, right = linear_sum_assignment(weight, maximize=True)
-    matched_rows = {
-        int(r) for l, r in zip(left, right) if l < n and weight[l, r] == heavy
-    }
-    return frozenset(range(n)) - matched_rows
+    phantoms = [members[s] for s in sorted(cond.non_top_linked)]
+    owner = _match_rows(a.csc, a.rows, phantoms)
+    return frozenset(np.flatnonzero((owner < 0) | (owner >= a.cols)).tolist())
 
 
 def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     """Minimum set of states to actuate with their own dedicated inputs.
 
     Always feasible: actuating every state trivially suffices.  Runs in
-    O(n^3); the result is exact.
+    O(E sqrt(n)) for E stars; the result is exact.
     """
     if a.rows != a.cols:
         raise ValueError("dedicated selection needs a square pattern")

@@ -71,7 +71,8 @@ def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     cardinality (branching on the lowest uncovered element, greedy upper
     bound, covering-rate lower bound), the second re-walks set indices
     in ascending order to pin the lexicographically smallest witness of
-    that cardinality.
+    that cardinality.  Both searches keep their own stacks, so neither
+    depth is bounded by the recursion limit.
     """
     sets = inst.sets
     universe = frozenset(range(inst.universe_size))
@@ -81,47 +82,47 @@ def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
         biggest = max(len(s & uncovered) for s in sets)
         return -(-len(uncovered) // biggest)
 
-    def shrink(uncovered: frozenset[int], depth: int) -> None:
-        nonlocal best_size
+    pending = [(universe, 0)]
+    while pending:
+        uncovered, depth = pending.pop()
         if not uncovered:
             best_size = min(best_size, depth)
-            return
+            continue
         if depth + bound(uncovered) >= best_size:
-            return
+            continue
         e = min(uncovered)
         candidates = [j for j, s in enumerate(sets) if e in s]
         candidates.sort(key=lambda j: (-len(sets[j] & uncovered), j))
-        for j in candidates:
-            shrink(uncovered - sets[j], depth + 1)
-
-    shrink(universe, 0)
+        pending.extend((uncovered - sets[j], depth + 1) for j in reversed(candidates))
 
     suffix_union: list[frozenset[int]] = [frozenset()] * (len(sets) + 1)
     for i in reversed(range(len(sets))):
         suffix_union[i] = suffix_union[i + 1] | sets[i]
 
-    chosen: list[int] = []
-
-    def rebuild(i: int, uncovered: frozenset[int]) -> bool:
-        if not uncovered:
-            return True
-        if i == len(sets) or len(chosen) == best_size:
+    def viable(i: int, uncovered: frozenset[int], size: int) -> bool:
+        if i == len(sets) or size == best_size:
             return False
         if not uncovered <= suffix_union[i]:
             return False
         biggest = max(len(sets[t] & uncovered) for t in range(i, len(sets)))
-        if len(chosen) + -(-len(uncovered) // biggest) > best_size:
-            return False
-        if sets[i] & uncovered:
-            chosen.append(i)
-            if rebuild(i + 1, uncovered - sets[i]):
-                return True
-            chosen.pop()
-        return rebuild(i + 1, uncovered)
+        return size + -(-len(uncovered) // biggest) <= best_size
 
-    witness_found = rebuild(0, universe)
-    assert witness_found, "optimal cardinality must be attainable"
-    return tuple(chosen)
+    # Depth first, taking set i before skipping it.  ``taken`` holds the
+    # (index, uncovered-before) of each set on the current path; a dead
+    # end drops the latest one and skips it instead.
+    taken: list[tuple[int, frozenset[int]]] = []
+    i, uncovered = 0, universe
+    while uncovered:
+        if viable(i, uncovered, len(taken)):
+            if sets[i] & uncovered:
+                taken.append((i, uncovered))
+                uncovered = uncovered - sets[i]
+            i += 1
+            continue
+        assert taken, "optimal cardinality must be attainable"
+        i, uncovered = taken.pop()
+        i += 1
+    return tuple(j for j, _ in taken)
 
 
 def setcover_to_mincis(inst: SetCoverInstance) -> ProblemInstance:

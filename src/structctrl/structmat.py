@@ -19,7 +19,11 @@ input pattern (rows = states, columns = inputs).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -45,6 +49,27 @@ class StructMatrix:
 
     def __contains__(self, position: tuple[int, int]) -> bool:
         return position in self.stars
+
+    @cached_property
+    def csc(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stars grouped by column, as int32 arrays ``(indptr, rows)``.
+
+        Column c holds the stars in rows ``rows[indptr[c]:indptr[c + 1]]``,
+        ascending.  Read as CSR, the pair is the transpose: row c lists the
+        states that column c feeds.  Built on first use and kept, so the
+        arrays are read-only.
+        """
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.stars), dtype=np.int32, count=2 * len(self.stars)
+        )
+        cols, height = flat[1::2], max(self.rows, 1)
+        order = cols.astype(np.int64) * height + flat[0::2]
+        order.sort()
+        indptr = np.zeros(self.cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self.cols), out=indptr[1:])
+        rows = (order % height).astype(np.int32)
+        indptr.flags.writeable = rows.flags.writeable = False
+        return indptr, rows
 
 
 @dataclass(frozen=True)
@@ -80,17 +105,6 @@ class ProblemInstance:
 
 def transpose(m: StructMatrix) -> StructMatrix:
     return StructMatrix(m.cols, m.rows, frozenset((c, r) for r, c in m.stars))
-
-
-def column_submatrix(m: StructMatrix, j_set) -> StructMatrix:
-    """Restrict ``m`` to the columns in ``j_set``, kept in sorted order."""
-    keep = sorted(set(j_set))
-    for j in keep:
-        if not 0 <= j < m.cols:
-            raise IndexError(f"column index {j} out of range for {m.cols} columns")
-    position = {j: t for t, j in enumerate(keep)}
-    stars = frozenset((r, position[c]) for r, c in m.stars if c in position)
-    return StructMatrix(m.rows, len(keep), stars)
 
 
 def identity_pattern(n: int) -> StructMatrix:

@@ -3,7 +3,8 @@
 Each oracle favors the most literal formulation available over speed
 and shares no code with the package path it referees: reachability by
 repeated squaring, matchings by enumeration, cycle unions by
-permutation search, covers by subfamily enumeration.
+permutation search, covers by subfamily enumeration, dedicated
+selection by one dense weighted assignment.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def reachability_closure(n: int, edges) -> np.ndarray:
@@ -104,3 +106,32 @@ def coverage_by_scan(cond, inst, j_set) -> frozenset[int]:
 
 def harmonic(d: int) -> float:
     return sum(1.0 / i for i in range(1, d + 1))
+
+
+def dedicated_count_by_assignment(a) -> int:
+    """Fewest dedicated inputs, by one dense weighted assignment.
+
+    The formulation of Pequito, Kar and Aguiar (IEEE TAC 2016): real
+    columns keep their stars at a weight above any number of tie-break
+    edges, and each source SCC adds a phantom column reaching its
+    members at weight one.  The optimum maximizes the matching first
+    and the number of source SCCs holding an unmatched row second; the
+    count is the unmatched rows plus one state for every source SCC
+    they miss.  O(n^3) time and dense memory, so meant for n <= 200.
+    """
+    n = a.rows
+    reach = reachability_closure(n, {(c, r) for r, c in a.stars})
+    mutual = reach & reach.T
+    # a state sits in a source SCC when everything reaching it is reached back
+    in_source = ~(reach & ~reach.T).any(axis=0)
+    sources = {frozenset(np.flatnonzero(mutual[v]).tolist()) for v in np.flatnonzero(in_source)}
+    heavy = n + 1
+    weight = np.zeros((n + len(sources), n), dtype=np.int64)
+    for r, c in a.stars:
+        weight[c, r] = heavy
+    for t, group in enumerate(sources):
+        weight[n + t, sorted(group)] = 1
+    left, right = linear_sum_assignment(weight, maximize=True)
+    matched = {int(r) for l, r in zip(left, right) if l < n and weight[l, r] == heavy}
+    unmatched = set(range(n)) - matched
+    return len(unmatched) + sum(1 for group in sources if not group & unmatched)

@@ -15,6 +15,7 @@ from structctrl.mincis import InfeasibleInstance, mincis_reduce
 from structctrl.setcover import is_cover
 from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
 
+from oracles import max_matching_size, reachability_closure
 from strategies import instances, matchable_instances
 
 
@@ -65,6 +66,18 @@ class TestGeneralTest:
     def test_duplicate_indices_collapse(self):
         inst = pair(1, [], 1, [(0, 0)])
         assert is_structurally_controllable(inst, [0, 0])
+
+    @given(instances(), st.data())
+    def test_matches_the_closure_and_matching_oracles(self, inst, data):
+        chosen = data.draw(selections(inst))
+        n = inst.n
+        edges = {(c, r) for r, c in inst.a.stars}
+        actuated = sorted({r for r, j in inst.b.stars if j in chosen})
+        accessible = bool(reachability_closure(n, edges)[actuated].any(axis=0).all())
+        column = {j: n + t for t, j in enumerate(sorted(chosen))}
+        compound = edges | {(column[j], r) for r, j in inst.b.stars if j in column}
+        full_rank = max_matching_size(n + len(chosen), compound) == n
+        assert is_structurally_controllable(inst, chosen) == (accessible and full_rank)
 
     @given(instances(), st.data())
     def test_monotone_in_the_selection(self, inst, data):

@@ -8,17 +8,13 @@ from hypothesis import given
 from structctrl.bench import best_time
 from structctrl.demo import two_community_network
 from structctrl.graph import (
-    INPUT,
-    STATE,
     Condensation,
-    Digraph,
     condensation_report,
     condense,
     input_coverage,
     state_digraph,
-    system_digraph,
 )
-from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
+from structctrl.structmat import StructMatrix, identity_pattern
 
 from oracles import coverage_by_scan, scc_partition
 from strategies import instances, square_matrices
@@ -29,8 +25,19 @@ def cycle_pattern(n):
     return StructMatrix(n, n, frozenset(((i + 1) % n, i) for i in range(n)))
 
 
+def digraph_pattern(n, edges):
+    """The n x n pattern whose state digraph has exactly these edges."""
+    return StructMatrix(n, n, frozenset((v, u) for u, v in edges))
+
+
+def edge_set(g):
+    """The (tail, head) pairs of a CSR adjacency."""
+    tails, heads = g.nonzero()
+    return set(zip(tails.tolist(), heads.tolist()))
+
+
 def six_block_network():
-    """Ten vertices in six SCCs, exactly two of them non-top-linked.
+    """Ten states in six SCCs, exactly two of them non-top-linked.
 
     Blocks: {0,1} and {2} feed {3,4,5}, which feeds {6} and {7,8},
     which both feed {9}.  Only the first two blocks lack incoming
@@ -45,57 +52,29 @@ def six_block_network():
         (4, 6), (5, 7),                # three -> four, five
         (6, 9), (8, 9),                # four, five -> six
     }
-    return Digraph(10, frozenset(edges), (STATE,) * 10)
-
-
-class TestDigraph:
-    def test_edge_bounds_checked(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Digraph(2, frozenset({(0, 2)}), (STATE, STATE))
-
-    def test_kind_per_vertex_required(self):
-        with pytest.raises(ValueError, match="kind"):
-            Digraph(2, frozenset(), (STATE,))
-
-    def test_edges_into_inputs_rejected(self):
-        with pytest.raises(ValueError, match="input"):
-            Digraph(2, frozenset({(0, 1)}), (STATE, INPUT))
+    return digraph_pattern(10, edges)
 
 
 class TestStateDigraph:
     def test_single_star_gives_single_edge(self):
         # a star in row 1, column 0 means state 0 feeds state 1
         g = state_digraph(StructMatrix(2, 2, frozenset({(1, 0)})))
-        assert g.edges == frozenset({(0, 1)})
-        assert g.kinds == (STATE, STATE)
+        assert edge_set(g) == {(0, 1)}
+        assert g.shape == (2, 2)
 
     def test_diagonal_gives_self_loops(self):
         g = state_digraph(identity_pattern(3))
-        assert g.edges == frozenset({(0, 0), (1, 1), (2, 2)})
+        assert edge_set(g) == {(0, 0), (1, 1), (2, 2)}
+
+    @given(square_matrices(max_n=7))
+    def test_one_edge_per_star(self, a):
+        g = state_digraph(a)
+        assert g.nnz == len(a.stars)
+        assert edge_set(g) == {(c, r) for r, c in a.stars}
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             state_digraph(StructMatrix(2, 3, frozenset()))
-
-
-class TestSystemDigraph:
-    def test_identity_inputs_attach_one_each(self):
-        inst = ProblemInstance(identity_pattern(3), identity_pattern(3))
-        g = system_digraph(inst)
-        assert g.vertex_count == 6
-        assert g.kinds == (STATE,) * 3 + (INPUT,) * 3
-        assert {(3 + j, j) for j in range(3)} <= g.edges
-
-    def test_no_inputs(self):
-        inst = ProblemInstance(identity_pattern(2), StructMatrix(2, 0, frozenset()))
-        assert system_digraph(inst).vertex_count == 2
-
-    def test_demo_channel_fanout(self):
-        inst = two_community_network()
-        g = system_digraph(inst)
-        # channel 1 (vertex 9) reaches agents 1 and 2
-        assert {(9, 0), (9, 1)} <= g.edges
-        assert {(12, 6), (12, 7)} <= g.edges
 
 
 class TestCondense:
@@ -121,23 +100,17 @@ class TestCondense:
         assert cond.dag_edges == frozenset({(top, cond.scc_id[2])})
 
     def test_six_block_network(self):
-        cond = condense(six_block_network())
+        cond = condense(state_digraph(six_block_network()))
         assert cond.scc_count == 6
         assert cond.non_top_linked == {cond.scc_id[0], cond.scc_id[2]}
         assert cond.scc_id[0] == cond.scc_id[1]
         assert cond.scc_id[3] == cond.scc_id[4] == cond.scc_id[5]
 
-    def test_refuses_system_digraphs(self):
-        inst = ProblemInstance(identity_pattern(2), identity_pattern(2))
-        with pytest.raises(ValueError, match="state digraph"):
-            condense(system_digraph(inst))
-
     @given(square_matrices(max_n=7))
     def test_partition_matches_reachability_oracle(self, a):
-        g = state_digraph(a)
-        cond = condense(g)
+        cond = condense(state_digraph(a))
         groups = frozenset(frozenset(group) for group in cond.members())
-        assert groups == scc_partition(g.vertex_count, g.edges)
+        assert groups == scc_partition(a.rows, {(c, r) for r, c in a.stars})
 
     @given(square_matrices(max_n=7))
     def test_quotient_edges_reverse_topological(self, a):
@@ -158,7 +131,7 @@ class TestCondense:
         def timed(n):
             rng = random.Random(97 + n)
             edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)}
-            g = Digraph(n, frozenset(edges), (STATE,) * n)
+            g = state_digraph(digraph_pattern(n, edges))
             return best_time(lambda: condense(g), repeats=3)
 
         small, large = timed(4000), timed(16000)

@@ -1,4 +1,4 @@
-"""Hopcroft-Karp against enumeration, and the perfect matching bridge."""
+"""Maximum matching against enumeration, and the perfect matching bridge."""
 
 import pytest
 from hypothesis import given
@@ -8,7 +8,6 @@ from structctrl.matching import (
     Matching,
     has_perfect_matching,
     maximum_matching,
-    state_bipartite,
 )
 from structctrl.structmat import StructMatrix, identity_pattern
 
@@ -32,20 +31,9 @@ class TestTypes:
             Matching(frozenset({(0, 1)}), frozenset({1}))
 
 
-class TestStateBipartite:
-    def test_mirrors_state_digraph(self):
-        g = state_bipartite(StructMatrix(2, 2, frozenset({(1, 0)})))
-        assert g.edges == frozenset({(0, 1)})
-        assert g.left_count == g.right_count == 2
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            state_bipartite(StructMatrix(2, 3, frozenset()))
-
-
 class TestMaximumMatching:
     def test_diagonal_is_perfect(self):
-        m = maximum_matching(state_bipartite(identity_pattern(3)))
+        m = maximum_matching(BipartiteGraph(3, 3, frozenset((i, i) for i in range(3))))
         assert m.pairs == frozenset({(0, 0), (1, 1), (2, 2)})
         assert m.right_unmatched == frozenset()
 
@@ -103,6 +91,10 @@ class TestHasPerfectMatching:
     def test_single_full_row_is_rank_deficient(self):
         a = StructMatrix(2, 2, frozenset({(0, 0), (0, 1)}))
         assert not has_perfect_matching(a)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            has_perfect_matching(StructMatrix(2, 3, frozenset()))
 
     def test_cycle_permutation(self):
         a = StructMatrix(3, 3, frozenset({(1, 0), (2, 1), (0, 2)}))

@@ -1,9 +1,13 @@
 """Input selection: covering reduction, solvers, dedicated and leader forms."""
 
+import random
+
 import pytest
 from hypothesis import given
 
+from structctrl.ctrl import is_structurally_controllable
 from structctrl.demo import four_source_network, two_community_network
+from structctrl.generate import random_struct_matrix
 from structctrl.matching import PerfectMatchingRequired
 from structctrl.mincis import (
     BruteForceCapExceeded,
@@ -18,6 +22,7 @@ from structctrl.mincis import (
 )
 from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
 
+from oracles import dedicated_count_by_assignment
 from strategies import matchable_instances, square_matrices
 
 
@@ -176,6 +181,18 @@ class TestDedicated:
         referee = brute_force_mincis(ProblemInstance(a, identity_pattern(a.rows)))
         assert referee.feasible
         assert fast.objective == referee.objective
+
+    def test_matches_the_assignment_referee_up_to_200_states(self):
+        rng = random.Random(2013)
+        for case in range(200):
+            n = rng.randint(20, 200)
+            density = rng.uniform(0.5, 3.0) / n
+            a = random_struct_matrix(n, n, density, random.Random(rng.getrandbits(32)))
+            fast = dedicated_input_selection(a)
+            assert fast.objective == dedicated_count_by_assignment(a), f"case {case}, n={n}"
+            assert is_structurally_controllable(
+                ProblemInstance(a, identity_pattern(n)), fast.chosen
+            ), f"case {case}, n={n}"
 
 
 class TestLeaderSelection:

@@ -92,6 +92,17 @@ class TestExact:
     def test_singleton_universe(self):
         assert exact_min_cover(family(1, {0})) == (0,)
 
+    def test_long_witness_scan_stays_iterative(self):
+        # the witness search walks every set index before reaching {0}
+        inst = SetCoverInstance(1, (frozenset(),) * 1499 + (frozenset({0}),))
+        assert exact_min_cover(inst) == (1499,)
+
+    def test_long_optimal_cover_stays_iterative(self):
+        # 1500 singletons: both searches go 1500 picks deep; this is the
+        # cover the reduction builds for an identity-input instance
+        inst = SetCoverInstance(1500, tuple(frozenset({e}) for e in range(1500)))
+        assert exact_min_cover(inst) == tuple(range(1500))
+
     @given(cover_instances())
     def test_matches_enumeration_size(self, inst):
         chosen = exact_min_cover(inst)

@@ -1,5 +1,6 @@
 """Pattern types, algebra, and the two text formats."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -7,7 +8,6 @@ from structctrl.structmat import (
     ParseError,
     ProblemInstance,
     StructMatrix,
-    column_submatrix,
     identity_pattern,
     parse_instance,
     parse_instance_blocks,
@@ -148,34 +148,29 @@ class TestTranspose:
         assert transpose(transpose(m)) == m
 
 
-class TestColumnSubmatrix:
-    def test_keeps_sorted_selection(self):
-        m = StructMatrix(3, 4, frozenset({(0, 1), (1, 3), (2, 0), (2, 2)}))
-        assert column_submatrix(m, {3, 1}) == StructMatrix(
-            3, 2, frozenset({(0, 0), (1, 1)})
-        )
+class TestColumnArrays:
+    def test_small_example(self):
+        m = StructMatrix(3, 4, frozenset({(0, 1), (1, 3), (2, 0), (2, 2), (0, 3)}))
+        indptr, rows = m.csc
+        assert indptr.tolist() == [0, 1, 2, 3, 5]
+        assert rows.tolist() == [2, 0, 2, 0, 1]
+        assert indptr.dtype == rows.dtype == np.int32
 
-    def test_all_columns_is_identity(self):
-        m = StructMatrix(2, 3, frozenset({(0, 2), (1, 0)}))
-        assert column_submatrix(m, range(3)) == m
+    def test_built_once(self):
+        m = identity_pattern(3)
+        assert m.csc is m.csc
 
-    def test_empty_selection(self):
-        m = StructMatrix(2, 3, frozenset({(0, 2)}))
-        assert column_submatrix(m, ()) == StructMatrix(2, 0, frozenset())
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError, match="out of range"):
-            column_submatrix(identity_pattern(2), {2})
+    def test_no_stars(self):
+        indptr, rows = StructMatrix(2, 3, frozenset()).csc
+        assert indptr.tolist() == [0, 0, 0, 0] and rows.size == 0
 
     @given(struct_matrices())
-    def test_column_contents_preserved(self, m):
-        keep = sorted(range(0, m.cols, 2))
-        sub = column_submatrix(m, keep)
-        assert sub.rows == m.rows and sub.cols == len(keep)
-        for t, c in enumerate(keep):
-            assert {r for r, cc in sub.stars if cc == t} == {
-                r for r, cc in m.stars if cc == c
-            }
+    def test_columns_hold_their_stars_in_row_order(self, m):
+        indptr, rows = m.csc
+        assert len(indptr) == m.cols + 1
+        for c in range(m.cols):
+            column = rows[indptr[c] : indptr[c + 1]].tolist()
+            assert column == sorted(r for r, cc in m.stars if cc == c)
 
 
 class TestIdentityPattern:
