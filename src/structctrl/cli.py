@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bench import condense_times, dedicated_selection_times, loglog_slope
-from .ctrl import is_structurally_controllable, numeric_probe
+from .ctrl import _controllable, is_structurally_controllable, numeric_probe
 from .generate import random_instance
 from .graph import condensation_report, condense, state_digraph
 from .matching import PerfectMatchingRequired, has_perfect_matching
@@ -62,7 +62,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file, args.dual)
     cond = condense(state_digraph(inst.a))
     sys.stdout.write(condensation_report(cond))
-    verdict = is_structurally_controllable(inst, range(inst.p))
+    verdict = _controllable(inst, cond, range(inst.p))
     matchable = has_perfect_matching(inst.a)
     print(
         f"{'CONTROLLABLE' if verdict else 'NOT CONTROLLABLE'}, "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import condense, input_coverage, state_digraph
+from .graph import Condensation, condense, input_coverage, state_digraph
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .structmat import ProblemInstance
 
@@ -35,6 +35,15 @@ def _selected_columns(inst: ProblemInstance, j_set) -> tuple[int, ...]:
     return tuple(columns)
 
 
+def _controllable(inst: ProblemInstance, cond: Condensation, columns) -> bool:
+    """The structural test for valid input columns, given the condensation of A."""
+    if input_coverage(cond, inst, columns) != cond.non_top_linked:
+        return False
+    indptr, rows = inst.b.csc
+    inputs = [rows[indptr[j] : indptr[j + 1]] for j in columns]
+    return bool((_match_rows(inst.a.csc, inst.n, inputs) >= 0).all())
+
+
 def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     """Accessibility plus generic-rank test for the selected inputs.
 
@@ -43,14 +52,7 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     reachable from some non-top-linked one.
     """
     columns = _selected_columns(inst, j_set)
-    if not columns:
-        return False
-    cond = condense(state_digraph(inst.a))
-    if input_coverage(cond, inst, columns) != cond.non_top_linked:
-        return False
-    indptr, rows = inst.b.csc
-    inputs = [rows[indptr[j] : indptr[j + 1]] for j in columns]
-    return bool((_match_rows(inst.a.csc, inst.n, inputs) >= 0).all())
+    return bool(columns) and _controllable(inst, condense(state_digraph(inst.a)), columns)
 
 
 def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:

@@ -10,6 +10,7 @@ adjacency, and its strongly connected components come from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,6 +42,13 @@ class Condensation:
         entered = {k for _, k in self.dag_edges}
         if self.non_top_linked != frozenset(range(self.scc_count)) - entered:
             raise ValueError("non_top_linked inconsistent with quotient edges")
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """``scc_id`` as a read-only int array, built on first use."""
+        labels = np.array(self.scc_id, dtype=np.intp)
+        labels.flags.writeable = False
+        return labels
 
     def members(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each SCC, grouped by SCC index, each group sorted."""
@@ -76,13 +84,15 @@ def condense(g: csr_matrix) -> Condensation:
 
 def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
     """Non-top-linked SCCs holding a state actuated by some input in j_set."""
-    selected = set(j_set)
+    selected = list(set(j_set))
     for j in selected:
         if not 0 <= j < inst.p:
             raise IndexError(f"input index {j} out of range for {inst.p} inputs")
     indptr, rows = inst.b.csc
-    actuated = {cond.scc_id[r] for j in selected for r in rows[indptr[j] : indptr[j + 1]].tolist()}
-    return cond.non_top_linked & actuated
+    chosen = np.zeros(inst.p, dtype=bool)
+    chosen[selected] = True
+    actuated = cond.labels[rows[np.repeat(chosen, indptr[1:] - indptr[:-1])]]
+    return cond.non_top_linked.intersection(actuated.tolist())
 
 
 def condensation_report(cond: Condensation, names=None) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctrl import is_structurally_controllable
+from .ctrl import _controllable, is_structurally_controllable
 from .graph import Condensation, condense, state_digraph
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .setcover import SetCoverInstance, exact_min_cover, greedy_cover
@@ -73,11 +73,14 @@ class SelectionResult:
         return " ".join(parts)
 
 
-def _source_ordinals(cond: Condensation) -> dict[int, int]:
-    """Number the non-top-linked SCCs 0..k-1 by smallest member state."""
-    members = cond.members()
-    ordered = sorted(cond.non_top_linked, key=lambda s: members[s][0])
-    return {s: t for t, s in enumerate(ordered)}
+def _source_ordinals(cond: Condensation) -> np.ndarray:
+    """Number the non-top-linked SCCs 0..k-1 by smallest member state; -1 elsewhere."""
+    _, smallest = np.unique(cond.labels, return_index=True)
+    sources = np.array(sorted(cond.non_top_linked))
+    ordinal = np.full(cond.scc_count, -1)
+    ordinal[sources[np.argsort(smallest[sources])]] = np.arange(len(sources))
+    return ordinal
+
 
 def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
     """Build the covering instance whose solutions are minimum selections.
@@ -92,19 +95,21 @@ def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
         )
     cond = condense(state_digraph(inst.a))
     ordinal = _source_ordinals(cond)
-    sets: list[set[int]] = [set() for _ in range(inst.p)]
-    touched: set[int] = set()
-    for r, j in inst.b.stars:
-        s = cond.scc_id[r]
-        if s in ordinal:
-            sets[j].add(ordinal[s])
-            touched.add(ordinal[s])
-    if len(touched) != len(ordinal):
-        missing = sorted(set(ordinal.values()) - touched)
+    indptr, rows = inst.b.csc
+    element = ordinal[cond.labels[rows]]  # per input star, column by column
+    hit = element >= 0
+    covered = element[hit]
+    actuated = np.zeros(len(cond.non_top_linked), dtype=bool)
+    actuated[covered] = True
+    if not actuated.all():
+        missing = np.flatnonzero(~actuated).tolist()
         raise InfeasibleInstance(
             f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
         )
-    return SetCoverInstance(len(ordinal), tuple(frozenset(s) for s in sets))
+    bounds = np.concatenate(([0], np.cumsum(hit)))[indptr].tolist()
+    elements = covered.tolist()
+    sets = tuple(frozenset(elements[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return SetCoverInstance(len(cond.non_top_linked), sets)
 
 
 def solve_mincis(inst: ProblemInstance, mode: str = "exact") -> SelectionResult:
@@ -138,12 +143,13 @@ def brute_force_mincis(inst: ProblemInstance, cap: int = 20) -> SelectionResult:
             f"{inst.p} input columns exceed the enumeration cap of {cap}"
         )
     everything = tuple(range(inst.p))
-    if not is_structurally_controllable(inst, everything):
+    cond = condense(state_digraph(inst.a))
+    if not _controllable(inst, cond, everything):
         # Monotone: if the full set fails, every subset fails.
         return SelectionResult((), False, "brute-force", None)
     for size in range(inst.p + 1):
         for subset in itertools.combinations(everything, size):
-            if is_structurally_controllable(inst, subset):
+            if _controllable(inst, cond, subset):
                 return SelectionResult(subset, True, "brute-force", size)
     raise AssertionError("full set passed but enumeration found nothing")
 

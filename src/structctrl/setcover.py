@@ -11,6 +11,7 @@ exactly N lines, line j listing the members of set j as space-separated
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .structmat import ParseError, ProblemInstance, StructMatrix, identity_pattern
@@ -52,15 +53,25 @@ def is_cover(inst: SetCoverInstance, chosen) -> bool:
 
 
 def greedy_cover(inst: SetCoverInstance) -> tuple[int, ...]:
-    """Largest-gain-first cover, ties to the lowest set index."""
+    """Largest-gain-first cover, ties to the lowest set index.
+
+    Lazy greedy (Minoux 1978): the heap holds each set's gain as last
+    computed, keyed (-gain, index).  Gains only shrink, so when the top
+    entry's gain is still current, no set gains more and no set of equal
+    gain has a lower index; otherwise it goes back with its current gain.
+    """
     uncovered = set(range(inst.universe_size))
+    heap = [(-len(s), j) for j, s in enumerate(inst.sets) if s]
+    heapq.heapify(heap)
     picked: list[int] = []
     while uncovered:
-        gains = [len(s & uncovered) for s in inst.sets]
-        best = max(gains)
-        j = gains.index(best)
-        picked.append(j)
-        uncovered -= inst.sets[j]
+        stale, j = heapq.heappop(heap)
+        gain = len(inst.sets[j] & uncovered)
+        if gain == -stale:
+            picked.append(j)
+            uncovered -= inst.sets[j]
+        elif gain:
+            heapq.heappush(heap, (-gain, j))
     return tuple(sorted(picked))
 
 

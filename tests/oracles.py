@@ -4,7 +4,9 @@ Each oracle favors the most literal formulation available over speed
 and shares no code with the package path it referees: reachability by
 repeated squaring, matchings by enumeration, cycle unions by
 permutation search, covers by subfamily enumeration, dedicated
-selection by one dense weighted assignment.
+selection by one dense weighted assignment.  Two are the package's
+earlier, slower paths, kept when they were replaced: the line-by-line
+pattern parser and the greedy cover that rescans every gain.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from structctrl.structmat import ParseError, StructMatrix
 
 
 def reachability_closure(n: int, edges) -> np.ndarray:
@@ -135,3 +139,76 @@ def dedicated_count_by_assignment(a) -> int:
     matched = {int(r) for l, r in zip(left, right) if l < n and weight[l, r] == heavy}
     unmatched = set(range(n)) - matched
     return len(unmatched) + sum(1 for group in sources if not group & unmatched)
+
+
+def _significant_lines(lines: list[str], start: int):
+    """Yield (1-based line number, stripped text), skipping blanks and comments."""
+    for offset, raw in enumerate(lines):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        yield start + offset, text
+
+
+def _parse_pattern_lines(lines: list[str], start: int) -> StructMatrix:
+    rows = cols = -1
+    stars: set[tuple[int, int]] = set()
+    saw_header = False
+    for lineno, text in _significant_lines(lines, start):
+        parts = text.split()
+        if not saw_header:
+            if len(parts) != 2:
+                raise ParseError(f"malformed header line {lineno}")
+            try:
+                rows, cols = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"malformed header line {lineno}") from None
+            if rows < 0 or cols < 0:
+                raise ParseError(f"negative dimension line {lineno}")
+            saw_header = True
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"malformed entry line {lineno}")
+        try:
+            r, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"malformed entry line {lineno}") from None
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ParseError(f"entry out of range line {lineno}")
+        if (r, c) in stars:
+            raise ParseError(f"duplicate entry line {lineno}")
+        stars.add((r, c))
+    if not saw_header:
+        raise ParseError("missing header")
+    return StructMatrix(rows, cols, frozenset(stars))
+
+
+def parse_pattern_by_lines(text: str) -> StructMatrix:
+    """One pattern block, parsed and checked a line at a time."""
+    return _parse_pattern_lines(text.splitlines(), 1)
+
+
+def parse_blocks_by_lines(text: str) -> tuple[StructMatrix, StructMatrix]:
+    """The two blocks of an instance file, parsed a line at a time."""
+    lines = text.splitlines()
+    separators = [i for i, raw in enumerate(lines) if raw.strip() == "---"]
+    if not separators:
+        raise ParseError("missing '---' separator between the two pattern blocks")
+    if len(separators) > 1:
+        raise ParseError(f"unexpected extra separator line {separators[1] + 1}")
+    cut = separators[0]
+    first = _parse_pattern_lines(lines[:cut], 1)
+    second = _parse_pattern_lines(lines[cut + 1 :], cut + 2)
+    return first, second
+
+
+def greedy_cover_by_rescan(inst) -> tuple[int, ...]:
+    """Largest-gain-first cover, recomputing every set's gain at each pick."""
+    uncovered = set(range(inst.universe_size))
+    picked: list[int] = []
+    while uncovered:
+        gains = [len(s & uncovered) for s in inst.sets]
+        j = gains.index(max(gains))
+        picked.append(j)
+        uncovered -= inst.sets[j]
+    return tuple(sorted(picked))

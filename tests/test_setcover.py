@@ -16,7 +16,7 @@ from structctrl.setcover import (
 )
 from structctrl.structmat import ParseError
 
-from oracles import harmonic, min_cover_size
+from oracles import greedy_cover_by_rescan, harmonic, min_cover_size
 from strategies import cover_instances
 
 
@@ -78,6 +78,19 @@ class TestGreedy:
     @given(cover_instances())
     def test_always_returns_a_cover(self, inst):
         assert is_cover(inst, greedy_cover(inst))
+
+    @given(st.data())
+    def test_matches_the_full_rescan(self, data):
+        # few small distinct sets, drawn with repeats and empties, so
+        # most picks are ties
+        m = data.draw(st.integers(1, 8))
+        kinds = data.draw(st.lists(st.frozensets(st.integers(0, m - 1), max_size=3), min_size=1, max_size=5))
+        sets = data.draw(st.lists(st.sampled_from([frozenset(), *kinds]), min_size=1, max_size=14))
+        missing = frozenset(range(m)).difference(*sets)
+        if missing:
+            sets.insert(data.draw(st.integers(0, len(sets))), missing)
+        inst = SetCoverInstance(m, tuple(sets))
+        assert greedy_cover(inst) == greedy_cover_by_rescan(inst)
 
 
 class TestExact:

@@ -1,8 +1,11 @@
 """Pattern types, algebra, and the two text formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from structctrl.structmat import (
     ParseError,
@@ -17,7 +20,106 @@ from structctrl.structmat import (
     transpose,
 )
 
+from oracles import parse_blocks_by_lines, parse_pattern_by_lines
 from strategies import instances, struct_matrices
+
+# Texts for the parser referee: small signed or zero-padded numbers,
+# tabs, comments, blank lines, inline comments, lines of one or three
+# tokens, non-integers and numbers past int64, with LF, CRLF and CR ends.
+# Most lines are well formed, so many texts parse and the faults that
+# remain fall on different lines.  Numbers past int64 stay off header
+# lines, where the int32 dimension bound, which the line parser lacks,
+# would reject them.
+
+
+def _numbers(digits: str):
+    return st.builds(
+        "".join,
+        st.tuples(st.sampled_from([""] * 8 + ["+", "-"]), st.sampled_from(["", "", "0"]), st.sampled_from(digits)),
+    )
+
+
+_DIMENSION = _numbers("0234445")
+_INDEX = _numbers("0123")
+_WORD = st.sampled_from(["x", "1.0", "2e1", "+", "-", "--", "0x1", "1,2"])
+_GAP = st.sampled_from([" ", "  ", "\t", " \t "])
+_PAD = st.sampled_from(["", "", " ", "\t"])
+_HEADER_KINDS = ["pair"] * 24 + ["inline", "one", "three", "word"]
+_ENTRY_KINDS = _HEADER_KINDS + ["comment", "comment", "blank", "blank", "past int64"]
+
+
+@st.composite
+def _line(draw, number, kinds):
+    kind = draw(st.sampled_from(kinds))
+    pad, gap = draw(_PAD), draw(_GAP)
+    if kind == "comment":
+        return pad + "#" + draw(st.sampled_from(["", " note", "# 0 0", " 1 1"]))
+    if kind == "blank":
+        return pad
+    if kind == "one":
+        return pad + draw(number)
+    if kind == "word":
+        return pad + draw(st.one_of(number, _WORD)) + gap + draw(_WORD)
+    if kind == "past int64":
+        return pad + draw(number) + gap + "99999999999999999999"
+    pair = pad + draw(number) + gap + draw(number) + draw(_PAD)
+    if kind == "inline":
+        return pair + " # note"
+    if kind == "three":
+        return pair + gap + draw(number)
+    return pair
+
+
+@st.composite
+def _block_lines(draw):
+    """Optional comments and blanks, a header line, then star lines."""
+    lines = draw(st.lists(st.sampled_from(["", "# block", "  # indented", "\t"]), max_size=2))
+    lines.append(draw(_line(_DIMENSION, _HEADER_KINDS)))
+    lines += draw(st.lists(_line(_INDEX, _ENTRY_KINDS), max_size=8))
+    return lines
+
+
+def _join(draw, lines) -> str:
+    endings = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def pattern_texts(draw):
+    return _join(draw, draw(_block_lines()))
+
+
+@st.composite
+def instance_texts(draw):
+    """Two blocks around one ``---`` line; sometimes none, sometimes an extra
+    one, and sometimes a second block with no header."""
+    headless = st.lists(st.sampled_from(["", "# no header"]), max_size=2)
+    first, second = draw(_block_lines()), draw(st.one_of(_block_lines(), _block_lines(), headless))
+    separator = draw(st.sampled_from(["---", "---", " ---\t"]))
+    count = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    lines = first + [separator] * min(count, 1) + second
+    if count == 2:
+        lines.insert(draw(st.integers(0, len(lines))), separator)
+    return _join(draw, lines)
+
+
+def _outcome(parse, text):
+    """The parse result, or the ParseError message; any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+
+
+def _assert_columns_hold_stars(m: StructMatrix) -> None:
+    indptr, rows = m.csc
+    assert indptr.dtype == rows.dtype == np.int32
+    assert len(indptr) == m.cols + 1 and not rows.flags.writeable
+    for c in range(m.cols):
+        assert rows[indptr[c] : indptr[c + 1]].tolist() == sorted(r for r, cc in m.stars if cc == c)
 
 
 class TestStructMatrix:
@@ -102,6 +204,39 @@ class TestPatternParsing:
     def test_parse_inverts_serialize(self, m):
         assert parse_struct_matrix(serialize_struct_matrix(m)) == m
 
+    @given(pattern_texts())
+    def test_matches_the_line_parser(self, text):
+        got = _outcome(parse_struct_matrix, text)
+        assert got == _outcome(parse_pattern_by_lines, text)
+        if isinstance(got, StructMatrix):
+            _assert_columns_hold_stars(got)
+
+    def test_header_only_block_parses_without_warnings(self):
+        for text in ("3 2\n", "3 2\n\n  \n", "3 2\n# no stars\n"):
+            assert _outcome(parse_struct_matrix, text) == StructMatrix(3, 2, frozenset())
+
+    def test_entry_past_int64_is_out_of_range(self):
+        with pytest.raises(ParseError, match="out of range line 3"):
+            parse_struct_matrix("2 2\n0 0\n99999999999999999999 0\n")
+
+    def test_numbers_are_ascii_decimal(self):
+        # The line parser took underscores, non-ASCII digits and non-ASCII
+        # blanks; numpy's reader misreads some non-ASCII characters as
+        # digits, so star and header lines must be ASCII.
+        for text in ("2 2\n0_1 1\n", "2 2\n\uff11 1\n", "2 2\n0\u01fe1 1\n", "2 2\n1\xa01\n"):
+            with pytest.raises(ParseError, match="malformed entry line 2"):
+                parse_struct_matrix(text)
+        with pytest.raises(ParseError, match="malformed header line 1"):
+            parse_struct_matrix("1_0 2\n")
+
+    def test_comments_may_hold_any_text(self):
+        assert parse_struct_matrix("# \u00e9tat 1_0\n1 1\n0 0 \n").stars == frozenset({(0, 0)})
+
+    def test_dimensions_fit_int32(self):
+        assert parse_struct_matrix("2147483647 0\n").rows == 2**31 - 1
+        with pytest.raises(ParseError, match="dimension too large line 2"):
+            parse_struct_matrix("# big\n1 2147483648\n")
+
 
 class TestInstanceParsing:
     TEXT = "2 2\n0 0\n1 1\n---\n2 1\n0 0\n"
@@ -127,6 +262,14 @@ class TestInstanceParsing:
         # output patterns have as many columns as states, not rows
         first, second = parse_instance_blocks("2 2\n---\n3 2\n2 1\n")
         assert first.rows == 2 and second.rows == 3
+
+    @given(instance_texts())
+    def test_matches_the_line_parser(self, text):
+        got = _outcome(parse_instance_blocks, text)
+        assert got == _outcome(parse_blocks_by_lines, text)
+        if not isinstance(got, str):
+            for m in got:
+                _assert_columns_hold_stars(m)
 
     @given(instances())
     def test_instance_round_trip(self, inst):
