@@ -62,4 +62,6 @@ def loglog_slope(samples) -> float:
     mean_y = sum(ys) / len(ys)
     covariance = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     variance = sum((x - mean_x) ** 2 for x in xs)
+    if variance == 0:
+        raise ValueError("need at least two different sizes")
     return covariance / variance

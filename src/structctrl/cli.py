@@ -148,8 +148,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         print("error: --sizes takes a comma-separated list of integers", file=sys.stderr)
         return EXIT_INPUT
-    if len(sizes) < 2:
-        print("error: need at least two sizes", file=sys.stderr)
+    if len(set(sizes)) < 2:
+        print("error: need at least two sizes, not all equal", file=sys.stderr)
+        return EXIT_INPUT
+    if min(sizes) < 1:
+        print("error: sizes must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     timer = dedicated_selection_times if args.target == "dedicated" else condense_times
     samples = timer(sizes, seed=args.seed)

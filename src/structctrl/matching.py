@@ -74,11 +74,8 @@ def _match_rows(csc: tuple[np.ndarray, np.ndarray], row_count: int, extra=()) ->
 
 def maximum_matching(g: BipartiteGraph) -> Matching:
     """A maximum matching of ``g``, the same one for equal graphs."""
-    edges = sorted(g.edges)
-    indptr = np.zeros(g.left_count + 1, dtype=np.int32)
-    np.cumsum(np.bincount([l for l, _ in edges], minlength=g.left_count), out=indptr[1:])
-    rights = np.array([r for _, r in edges], dtype=np.int32)
-    owner = _match_rows((indptr, rights), g.right_count).tolist()
+    columns = StructMatrix(g.right_count, g.left_count, [(r, l) for l, r in g.edges])
+    owner = _match_rows(columns.csc, g.right_count).tolist()
     pairs = frozenset((l, r) for r, l in enumerate(owner) if l >= 0)
     free = frozenset(r for r, l in enumerate(owner) if l < 0)
     return Matching(pairs, free)

@@ -20,19 +20,19 @@ input pattern (rows = states, columns = inputs).
 
 Parsing
 -------
-Each block is read in one pass.  The text is split into stripped lines
-once; the separator is found once; a block's star lines become one
-int64 array in one ``numpy.loadtxt`` call; range and duplicates are
-checked on that array; and the checked arrays become the pattern's
-``csc`` arrays, so nothing is validated twice or rebuilt.  Only a block
-that this pass refuses is walked line by line, to raise the
-``ParseError`` for its first bad line: malformed, out of range or
-duplicate, numbered from 1 in the whole text.
+The text is split into stripped lines and the separator is found once.
+A block's star lines become one int64 array in one ``numpy.loadtxt``
+call, and that array goes to the ``StructMatrix`` constructor, the one
+place where stars are range-checked and grouped into ``csc``.  A block
+whose numbers the constructor refuses, or in which it counts fewer
+stars than lines, is walked line by line to raise the ``ParseError`` of
+its first bad line: malformed, out of range or duplicate, numbered from
+1 in the whole text.  No ``stars`` set is built.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NoReturn
@@ -47,59 +47,69 @@ class ParseError(ValueError):
     """Malformed pattern or instance text. Message names the offending line."""
 
 
-def _compress(height: int, width: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``csc`` arrays of the distinct stars (r[i], c[i]) of a height x width pattern."""
-    height = max(height, 1)
-    order = c.astype(np.int64) * height + r
-    order.sort()
-    indptr = np.zeros(width + 1, dtype=np.int32)
-    np.cumsum(np.bincount(c, minlength=width), out=indptr[1:])
-    rows = (order % height).astype(np.int32)
-    indptr.flags.writeable = rows.flags.writeable = False
-    return indptr, rows
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StructMatrix:
-    """A {0, star} matrix given by its dimensions and star positions."""
+    """A {0, star} matrix given by its dimensions and star positions.
+
+    ``stars`` is any iterable of (row, col) integer pairs or a (k, 2)
+    integer array; a repeated pair counts once.  The pattern keeps only
+    ``csc``: the stars grouped by column, as read-only int32 arrays
+    ``(indptr, rows)``.  Column c holds the stars in rows
+    ``rows[indptr[c]:indptr[c + 1]]``, ascending.  Read as CSR, the pair
+    is the transpose: row c lists the states that column c feeds.
+    """
 
     rows: int
     cols: int
-    stars: frozenset[tuple[int, int]]
+    csc: tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, stars) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        self.__post_init__(stars)
+
+    def __post_init__(self, stars) -> None:
+        """Check the dimensions and stars and build ``csc``; ``perfbench/tracing.py`` wraps it."""
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"dimensions must be nonnegative, got {self.rows}x{self.cols}")
-        object.__setattr__(self, "stars", frozenset(self.stars))
-        for entry in self.stars:
-            r, c = entry
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"star {entry} outside {self.rows}x{self.cols}")
+        if max(self.rows, self.cols) > _MAX_DIMENSION:
+            raise ValueError(f"dimensions must be at most 2**31 - 1, got {self.rows}x{self.cols}")
+        pairs = np.asarray(stars if isinstance(stars, np.ndarray) else list(stars))  # ValueError if ragged
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
+            raise ValueError("stars must be (row, col) pairs of 64-bit integers")
+        pairs = pairs.reshape(-1, 2).astype(np.int64, copy=False)
+        outside = pairs.view(np.uint64) >= (self.rows, self.cols)  # a negative index wraps high
+        if outside.any():
+            r, c = pairs[outside.any(axis=1).argmax()].tolist()
+            raise ValueError(f"star {(r, c)} outside {self.rows}x{self.cols}")
+        keys = np.sort(pairs[:, 1] * self.rows + pairs[:, 0])  # np.unique hashes, which is slower here
+        keys = np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]))
+        indptr = np.searchsorted(keys, np.arange(self.cols + 1) * self.rows).astype(np.int32)
+        rows = (keys % max(self.rows, 1)).astype(np.int32)
+        indptr.flags.writeable = rows.flags.writeable = False
+        object.__setattr__(self, "csc", (indptr, rows))
 
-    @classmethod
-    def _checked(cls, rows: int, cols: int, stars: frozenset, csc: tuple) -> StructMatrix:
-        """A pattern whose stars and matching ``csc`` arrays the caller has checked."""
-        m = cls.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, stars=stars, csc=csc)
-        return m
+    @cached_property
+    def stars(self) -> frozenset[tuple[int, int]]:
+        """The star positions (row, col), built from ``csc`` on first use."""
+        return frozenset(zip(self.csc[1].tolist(), _star_columns(self).tolist()))
 
     def __contains__(self, position: tuple[int, int]) -> bool:
         return position in self.stars
 
-    @cached_property
-    def csc(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stars grouped by column, as int32 arrays ``(indptr, rows)``.
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.csc[0].tobytes(), self.csc[1].tobytes()
 
-        Column c holds the stars in rows ``rows[indptr[c]:indptr[c + 1]]``,
-        ascending.  Read as CSR, the pair is the transpose: row c lists the
-        states that column c feeds.  Parsed patterns get the arrays from
-        the parser; others build them on first use.  Either way they are
-        kept, so they are read-only.
-        """
-        flat = np.fromiter(
-            itertools.chain.from_iterable(self.stars), dtype=np.int32, count=2 * len(self.stars)
-        )
-        return _compress(self.rows, self.cols, flat[0::2], flat[1::2])
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, StructMatrix) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _star_columns(m: StructMatrix) -> np.ndarray:
+    """The column of each star, in the order of ``m.csc[1]``."""
+    return np.repeat(np.arange(m.cols), np.diff(m.csc[0]))
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,7 @@ class ProblemInstance:
 
 
 def transpose(m: StructMatrix) -> StructMatrix:
-    return StructMatrix(m.cols, m.rows, frozenset((c, r) for r, c in m.stars))
+    return StructMatrix(m.cols, m.rows, np.column_stack((_star_columns(m), m.csc[1])))
 
 
 def identity_pattern(n: int) -> StructMatrix:
@@ -162,19 +172,15 @@ def _integer_pair(text: str) -> tuple[int, int] | None:
         return None
 
 
-def _read_pairs(entries: list[str]) -> np.ndarray | None:
-    """The star lines as one (k, 2) int64 array, or None if some line is not two integers."""
+def _read_numbers(entries: list[str]) -> np.ndarray:
+    """The star lines' numbers, one int64 row per line; ValueError unless all are integers."""
     if not any(entries):
         return np.empty((0, 2), dtype=np.int64)
     # numpy's reader sees nothing but ASCII digits, signs and blanks: it
     # would misread some non-ASCII characters as digits.
     if "\n".join(entries).encode().translate(None, _STAR_LINE_BYTES):
-        return None
-    try:
-        pairs = np.loadtxt(entries, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return pairs if pairs.shape[1] == 2 else None
+        raise ValueError("not an ASCII integer")
+    return np.loadtxt(entries, dtype=np.int64, comments=None, ndmin=2)
 
 
 def _reject(lines: list[str], start: int, rows: int, cols: int) -> NoReturn:
@@ -211,13 +217,11 @@ def _parse_pattern_lines(lines: list[str], start: int) -> StructMatrix:
     entries = body
     if "#" in "".join(body):
         entries = [text for text in body if not text.startswith("#")]
-    pairs = _read_pairs(entries)
-    if pairs is not None:
-        r, c = pairs[:, 0], pairs[:, 1]
-        if ((r >= 0) & (r < rows) & (c >= 0) & (c < cols)).all():
-            stars = frozenset(zip(r.tolist(), c.tolist()))
-            if len(stars) == len(pairs):
-                return StructMatrix._checked(rows, cols, stars, _compress(rows, cols, r, c))
+    with contextlib.suppress(ValueError):  # a line that is not a star in range
+        pairs = _read_numbers(entries)
+        m = StructMatrix(rows, cols, pairs)
+        if m.csc[1].size == len(pairs):  # else a duplicate star
+            return m
     _reject(body, lineno + 1, rows, cols)
 
 

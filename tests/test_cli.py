@@ -2,14 +2,18 @@
 
 import pytest
 
+from structctrl import cli
+from structctrl.bench import loglog_slope
 from structctrl.cli import main
 from structctrl.demo import two_community_network
+from structctrl.generate import random_instance
 from structctrl.matching import has_perfect_matching
 from structctrl.structmat import (
     ProblemInstance,
     StructMatrix,
     identity_pattern,
     parse_instance,
+    parse_instance_blocks,
     serialize_instance,
     serialize_struct_matrix,
     transpose,
@@ -214,6 +218,40 @@ class TestBench:
     def test_rejects_garbage_sizes(self, capsys):
         assert main(["bench", "--sizes", "a,b"]) == 2
         assert "comma-separated" in capsys.readouterr().err
+
+    def test_rejects_sizes_below_one(self, capsys):
+        assert main(["bench", "--target", "condense", "--sizes", "0,10"]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_needs_two_different_sizes(self, capsys):
+        assert main(["bench", "--target", "condense", "--sizes", "100,100"]) == 2
+        assert "not all equal" in capsys.readouterr().err
+
+    def test_slope_needs_two_different_sizes(self):
+        with pytest.raises(ValueError, match="different sizes"):
+            loglog_slope([(100, 0.1), (100, 0.2)])
+
+
+class TestOnePatternForm:
+    def test_check_and_solve_never_build_star_sets(self, tmp_path, monkeypatch, capsys):
+        # every state actuated, so the greedy solve covers and verifies
+        a = random_instance(1000, 0, 0.003, 5, full_diagonal=True).a
+        b = StructMatrix(1000, 100, [(i, i % 100) for i in range(1000)])
+        path = tmp_path / "big.instance"
+        path.write_text(serialize_instance(ProblemInstance(a, b)))
+        parsed = []
+
+        def recording(text):
+            parsed.extend(parse_instance_blocks(text))
+            return parsed[-2:]
+
+        monkeypatch.setattr(cli, "parse_instance_blocks", recording)
+        main(["check", str(path)])
+        main(["solve", str(path), "--mode", "greedy"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("CONTROLLABLE") and lines[-1].startswith("FEASIBLE ")
+        assert len(parsed) == 4 and sum(m.csc[1].size for m in parsed[:2]) > 3000
+        assert not any("stars" in vars(m) for m in parsed)
 
 
 class TestUsageErrors:

@@ -142,6 +142,36 @@ class TestStructMatrix:
         m = StructMatrix(3, 0, frozenset())
         assert m.cols == 0 and not m.stars
 
+    def test_entries_must_be_integer_pairs(self):
+        for stars in (
+            {(0.5, 1)},
+            {(1.0, 1)},
+            {(0, 1, 1)},
+            [(0, 1), (1,)],
+            [(0, 1), 1],
+            {("0", "1")},
+            np.array([[0.0, 1.0]]),
+            np.zeros((2, 3), dtype=np.int64),
+        ):
+            with pytest.raises(ValueError):
+                StructMatrix(2, 2, stars)
+
+    @given(struct_matrices(), st.integers(2, 3))
+    def test_one_stored_form_whatever_the_input(self, m, repeats):
+        listed = sorted(m.stars, reverse=True) * repeats
+        patterns = [
+            StructMatrix(m.rows, m.cols, frozenset(listed)),
+            StructMatrix(m.rows, m.cols, listed),
+            StructMatrix(m.rows, m.cols, np.array(listed, dtype=np.int64).reshape(-1, 2)),
+        ]
+        for p in patterns:
+            assert p == m and hash(p) == hash(m)
+            assert p.stars == m.stars
+            assert all(np.array_equal(mine, theirs) for mine, theirs in zip(p.csc, m.csc))
+            for name in ("rows", "csc", "stars"):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, None)
+
 
 class TestProblemInstance:
     def test_shape_coupling(self):
