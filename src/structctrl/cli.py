@@ -66,7 +66,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     matchable = has_perfect_matching(inst.a)
     print(
         f"{'CONTROLLABLE' if verdict else 'NOT CONTROLLABLE'}, "
-        f"non-top-linked SCCs: {len(cond.non_top_linked)}, "
+        f"non-top-linked SCCs: {len(cond.sources)}, "
         f"Assumption 1: {'YES' if matchable else 'NO'}"
     )
     return EXIT_OK if verdict else EXIT_NEGATIVE

@@ -20,19 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Condensation, condense, input_coverage, state_digraph
+from .graph import Condensation, _input_columns, condense, input_coverage, state_digraph
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
-from .structmat import ProblemInstance
+from .structmat import ProblemInstance, StructMatrix, _star_columns
 
 _MASK64 = (1 << 64) - 1
-
-
-def _selected_columns(inst: ProblemInstance, j_set) -> tuple[int, ...]:
-    columns = sorted(set(j_set))
-    for j in columns:
-        if not 0 <= j < inst.p:
-            raise IndexError(f"input index {j} out of range for {inst.p} inputs")
-    return tuple(columns)
 
 
 def _controllable(inst: ProblemInstance, cond: Condensation, columns) -> bool:
@@ -51,8 +43,7 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     non-top-linked SCC holds an actuated state, since each SCC is
     reachable from some non-top-linked one.
     """
-    columns = _selected_columns(inst, j_set)
-    return bool(columns) and _controllable(inst, condense(state_digraph(inst.a)), columns)
+    return _controllable(inst, condense(state_digraph(inst.a)), _input_columns(inst, j_set))
 
 
 def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:
@@ -67,6 +58,19 @@ def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:
         raise PerfectMatchingRequired("state pattern admits no perfect matching")
     cond = condense(state_digraph(inst.a))
     return input_coverage(cond, inst, j_set) == cond.non_top_linked
+
+
+def _star_mask(m: StructMatrix) -> np.ndarray:
+    mask = np.zeros((m.rows, m.cols), dtype=bool)
+    mask[m.csc[1], _star_columns(m)] = True
+    return mask
+
+
+def _realise(stars: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform [-1, 1] values on a star mask, drawn in row-major order."""
+    values = np.zeros(stars.shape)
+    values[stars] = rng.uniform(-1.0, 1.0, size=np.count_nonzero(stars))
+    return values
 
 
 def numeric_probe(
@@ -88,22 +92,14 @@ def numeric_probe(
         raise ValueError("at least one trial required")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    columns = _selected_columns(inst, j_set)
+    columns = _input_columns(inst, j_set)
     if not columns:
         return False
     n, width = inst.n, len(columns)
-    a_positions = sorted(inst.a.stars)
-    offset = {j: t for t, j in enumerate(columns)}
-    b_positions = sorted((r, offset[j]) for r, j in inst.b.stars if j in offset)
-
+    a_stars, b_stars = _star_mask(inst.a), _star_mask(inst.b)[:, columns]
     for trial in range(trials):
         rng = np.random.default_rng((seed & _MASK64, trial))
-        a = np.zeros((n, n))
-        for r, c in a_positions:
-            a[r, c] = rng.uniform(-1.0, 1.0)
-        b = np.zeros((n, width))
-        for r, c in b_positions:
-            b[r, c] = rng.uniform(-1.0, 1.0)
+        a, b = _realise(a_stars, rng), _realise(b_stars, rng)
         krylov = np.empty((n, n * width))
         block = b
         for power in range(n):

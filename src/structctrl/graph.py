@@ -3,8 +3,8 @@
 The state digraph of a square pattern has one vertex per state and an
 edge c -> r exactly when entry (r, c) is a star: a star in row r,
 column c means state c feeds state r.  It is held as a scipy CSR
-adjacency, and its strongly connected components come from
-``scipy.sparse.csgraph``.
+adjacency.  Its SCCs come from ``scipy.sparse.csgraph`` and are kept as
+arrays only; each command and selection condenses an instance once.
 """
 
 from __future__ import annotations
@@ -19,43 +19,53 @@ from scipy.sparse.csgraph import connected_components
 from .structmat import ProblemInstance, StructMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condensation:
     """SCC partition of a state digraph plus its acyclic quotient.
 
-    SCC indices follow reverse topological order: every quotient edge
-    goes from a higher index to a lower one.  ``non_top_linked`` holds
-    the SCCs with no incoming quotient edge.
+    Read-only intp arrays: the SCC of each state, one (tail, head) row per
+    quotient edge, and the SCCs with no incoming quotient edge, ascending.
+    Indices are reverse topological: quotient edges go from high to low.
     """
 
-    scc_id: tuple[int, ...]
+    scc_id: np.ndarray
     scc_count: int
-    dag_edges: frozenset[tuple[int, int]]
-    non_top_linked: frozenset[int]
+    dag_edges: np.ndarray
+    sources: np.ndarray
 
     def __post_init__(self) -> None:
-        for i, k in self.dag_edges:
-            if i == k:
-                raise ValueError("quotient edges never join an SCC to itself")
-            if i < k:
-                raise ValueError("SCC indices must be reverse topological")
-        entered = {k for _, k in self.dag_edges}
-        if self.non_top_linked != frozenset(range(self.scc_count)) - entered:
+        """Freeze the arrays and check order and sources; ``perfbench/tracing.py`` wraps it."""
+        for name, shape in (("scc_id", -1), ("dag_edges", (-1, 2)), ("sources", -1)):
+            array = np.array(getattr(self, name), dtype=np.intp).reshape(shape)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        tails, heads = self.dag_edges.T
+        if (tails == heads).any():
+            raise ValueError("quotient edges never join an SCC to itself")
+        if (tails < heads).any():
+            raise ValueError("SCC indices must be reverse topological")
+        entered = np.bincount(heads, minlength=self.scc_count)[: self.scc_count]
+        if not np.array_equal(self.sources, np.flatnonzero(entered == 0)):
             raise ValueError("non_top_linked inconsistent with quotient edges")
 
+    def __reduce__(self):  # copies and unpickled objects stay read-only
+        return Condensation, (self.scc_id, self.scc_count, self.dag_edges, self.sources)
+
     @cached_property
-    def labels(self) -> np.ndarray:
-        """``scc_id`` as a read-only int array, built on first use."""
-        labels = np.array(self.scc_id, dtype=np.intp)
-        labels.flags.writeable = False
-        return labels
+    def non_top_linked(self) -> frozenset[int]:
+        """``sources`` as a set of ints, built on first use."""
+        return frozenset(self.sources.tolist())
+
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """States sorted by SCC, then index; SCC s is ``order[bounds[s]:bounds[s + 1]]``."""
+        order = np.argsort(self.scc_id, kind="stable")
+        return order, np.searchsorted(self.scc_id[order], np.arange(self.scc_count + 1))
 
     def members(self) -> tuple[tuple[int, ...], ...]:
         """Vertices of each SCC, grouped by SCC index, each group sorted."""
-        groups: list[list[int]] = [[] for _ in range(self.scc_count)]
-        for v, s in enumerate(self.scc_id):
-            groups[s].append(v)
-        return tuple(tuple(g) for g in groups)
+        order, bounds = self._groups()
+        states, bounds = order.tolist(), bounds.tolist()
+        return tuple(tuple(states[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def state_digraph(a: StructMatrix) -> csr_matrix:
@@ -73,25 +83,31 @@ def condense(g: csr_matrix) -> Condensation:
     are already reverse topological; ``Condensation`` checks that.
     """
     count, labels = connected_components(g, directed=True, connection="strong")
-    tails = np.repeat(labels, np.diff(g.indptr))
+    tails = np.repeat(labels.astype(np.intp), np.diff(g.indptr))  # keys reach count**2
     heads = labels[g.indices]
-    cross = tails != heads
-    entered = heads[cross].tolist()
-    dag_edges = frozenset(zip(tails[cross].tolist(), entered))
-    non_top = frozenset(range(count)).difference(entered)
-    return Condensation(tuple(labels.tolist()), count, dag_edges, non_top)
+    keys = np.sort((tails * count + heads)[tails != heads])
+    keys = np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]))  # each quotient edge once
+    edges = np.column_stack((keys // count, keys % count))
+    sources = np.flatnonzero(np.bincount(edges[:, 1], minlength=count) == 0)
+    return Condensation(labels, count, edges, sources)
+
+
+def _input_columns(inst: ProblemInstance, j_set) -> list[int]:
+    """The distinct input columns of j_set, ascending; IndexError if one is out of range."""
+    columns = sorted(set(j_set))
+    values = np.array(columns)
+    outside = values[(values < 0) | (values >= inst.p)]
+    if outside.size:
+        raise IndexError(f"input index {outside[0]} out of range for {inst.p} inputs")
+    return columns
 
 
 def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
     """Non-top-linked SCCs holding a state actuated by some input in j_set."""
-    selected = list(set(j_set))
-    for j in selected:
-        if not 0 <= j < inst.p:
-            raise IndexError(f"input index {j} out of range for {inst.p} inputs")
     indptr, rows = inst.b.csc
     chosen = np.zeros(inst.p, dtype=bool)
-    chosen[selected] = True
-    actuated = cond.labels[rows[np.repeat(chosen, indptr[1:] - indptr[:-1])]]
+    chosen[_input_columns(inst, j_set)] = True
+    actuated = cond.scc_id[rows[np.repeat(chosen, indptr[1:] - indptr[:-1])]]
     return cond.non_top_linked.intersection(actuated.tolist())
 
 

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctrl import _controllable, is_structurally_controllable
+from .ctrl import _controllable
 from .graph import Condensation, condense, state_digraph
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .setcover import SetCoverInstance, exact_min_cover, greedy_cover
-from .structmat import ProblemInstance, StructMatrix
+from .structmat import ProblemInstance, StructMatrix, _star_columns
 
 
 class InfeasibleInstance(ValueError):
@@ -73,13 +73,29 @@ class SelectionResult:
         return " ".join(parts)
 
 
-def _source_ordinals(cond: Condensation) -> np.ndarray:
-    """Number the non-top-linked SCCs 0..k-1 by smallest member state; -1 elsewhere."""
-    _, smallest = np.unique(cond.labels, return_index=True)
-    sources = np.array(sorted(cond.non_top_linked))
+def _reduce(inst: ProblemInstance, cond: Condensation) -> SetCoverInstance:
+    """``mincis_reduce`` given the condensation of the state pattern."""
+    if not has_perfect_matching(inst.a):
+        raise PerfectMatchingRequired(
+            "reduction precondition failed: state pattern admits no perfect matching"
+        )
+    # number the sources 0..k-1 by smallest member state, -1 elsewhere
+    order, starts = cond._groups()
     ordinal = np.full(cond.scc_count, -1)
-    ordinal[sources[np.argsort(smallest[sources])]] = np.arange(len(sources))
-    return ordinal
+    ordinal[cond.sources[np.argsort(order[starts[cond.sources]])]] = np.arange(len(cond.sources))
+    indptr, rows = inst.b.csc
+    element = ordinal[cond.scc_id[rows]]  # per input star, column by column
+    hit = element >= 0
+    covered = element[hit]
+    missing = np.flatnonzero(np.bincount(covered, minlength=len(cond.sources)) == 0).tolist()
+    if missing:
+        raise InfeasibleInstance(
+            f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
+        )
+    bounds = np.concatenate(([0], np.cumsum(hit)))[indptr].tolist()
+    elements = covered.tolist()
+    sets = tuple(frozenset(elements[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return SetCoverInstance(len(cond.sources), sets)
 
 
 def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
@@ -89,27 +105,7 @@ def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
     the t-th non-top-linked SCC (ordered by smallest member state), and
     set j collects the SCCs that input column j actuates.
     """
-    if not has_perfect_matching(inst.a):
-        raise PerfectMatchingRequired(
-            "reduction precondition failed: state pattern admits no perfect matching"
-        )
-    cond = condense(state_digraph(inst.a))
-    ordinal = _source_ordinals(cond)
-    indptr, rows = inst.b.csc
-    element = ordinal[cond.labels[rows]]  # per input star, column by column
-    hit = element >= 0
-    covered = element[hit]
-    actuated = np.zeros(len(cond.non_top_linked), dtype=bool)
-    actuated[covered] = True
-    if not actuated.all():
-        missing = np.flatnonzero(~actuated).tolist()
-        raise InfeasibleInstance(
-            f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
-        )
-    bounds = np.concatenate(([0], np.cumsum(hit)))[indptr].tolist()
-    elements = covered.tolist()
-    sets = tuple(frozenset(elements[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    return SetCoverInstance(len(cond.non_top_linked), sets)
+    return _reduce(inst, condense(state_digraph(inst.a)))
 
 
 def solve_mincis(inst: ProblemInstance, mode: str = "exact") -> SelectionResult:
@@ -121,13 +117,14 @@ def solve_mincis(inst: ProblemInstance, mode: str = "exact") -> SelectionResult:
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
+    cond = condense(state_digraph(inst.a))
     try:
-        cover = mincis_reduce(inst)
+        cover = _reduce(inst, cond)
     except InfeasibleInstance:
         return SelectionResult((), False, mode, None)
     chosen = exact_min_cover(cover) if mode == "exact" else greedy_cover(cover)
     result = SelectionResult(chosen, True, mode, len(chosen))
-    if not is_structurally_controllable(inst, result.chosen):
+    if not _controllable(inst, cond, result.chosen):
         raise AssertionError("selection failed its own controllability check")
     return result
 
@@ -154,19 +151,6 @@ def brute_force_mincis(inst: ProblemInstance, cap: int = 20) -> SelectionResult:
     raise AssertionError("full set passed but enumeration found nothing")
 
 
-def _biased_unmatched_rows(a: StructMatrix, cond: Condensation) -> frozenset[int]:
-    """Rows no real column matches in one maximum matching of the state
-    pattern extended by a phantom column per non-top-linked SCC.
-
-    A phantom column has a star on every member of its SCC, so each
-    phantom that finds a row marks one more SCC holding an unmatched row.
-    """
-    members = cond.members()
-    phantoms = [members[s] for s in sorted(cond.non_top_linked)]
-    owner = _match_rows(a.csc, a.rows, phantoms)
-    return frozenset(np.flatnonzero((owner < 0) | (owner >= a.cols)).tolist())
-
-
 def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     """Minimum set of states to actuate with their own dedicated inputs.
 
@@ -176,22 +160,22 @@ def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     if a.rows != a.cols:
         raise ValueError("dedicated selection needs a square pattern")
     cond = condense(state_digraph(a))
-    unmatched = _biased_unmatched_rows(a, cond)
-    chosen = set(unmatched)
-    hit = {cond.scc_id[v] for v in unmatched}
-    members = cond.members()
-    for s in sorted(cond.non_top_linked):
-        if s not in hit:
-            chosen.add(members[s][0])
+    order, bounds = cond._groups()
+    phantoms = [order[bounds[s] : bounds[s + 1]] for s in cond.sources.tolist()]
+    owner = _match_rows(a.csc, a.rows, phantoms)
+    unmatched = np.flatnonzero((owner < 0) | (owner >= a.cols))
+    missed = cond.sources[~np.isin(cond.sources, cond.scc_id[unmatched])]
+    chosen = np.concatenate((unmatched, order[bounds[missed]])).tolist()
     return SelectionResult(tuple(chosen), True, "exact", len(chosen))
 
 
 def _require_self_loops(w: StructMatrix) -> None:
     if w.rows != w.cols:
         raise ValueError("agent coupling pattern must be square")
-    for i in range(w.rows):
-        if (i, i) not in w.stars:
-            raise ValueError(f"agent {i} has no self-loop; leader selection needs one per agent")
+    rows = w.csc[1]
+    looped = np.bincount(rows[rows == _star_columns(w)], minlength=w.rows)
+    if not looped.all():
+        raise ValueError(f"agent {looped.argmin()} has no self-loop; leader selection needs one per agent")
 
 
 def leader_selection_unconstrained(w: StructMatrix) -> SelectionResult:

@@ -94,6 +94,9 @@ class StructMatrix:
         """The star positions (row, col), built from ``csc`` on first use."""
         return frozenset(zip(self.csc[1].tolist(), _star_columns(self).tolist()))
 
+    def __reduce__(self):  # copies and unpickled patterns go through the checks and stay read-only
+        return StructMatrix, (self.rows, self.cols, np.column_stack((self.csc[1], _star_columns(self))))
+
     def __contains__(self, position: tuple[int, int]) -> bool:
         return position in self.stars
 

@@ -4,9 +4,11 @@ Each oracle favors the most literal formulation available over speed
 and shares no code with the package path it referees: reachability by
 repeated squaring, matchings by enumeration, cycle unions by
 permutation search, covers by subfamily enumeration, dedicated
-selection by one dense weighted assignment.  Two are the package's
-earlier, slower paths, kept when they were replaced: the line-by-line
-pattern parser and the greedy cover that rescans every gain.
+selection by one dense weighted assignment.  The rest are the
+package's earlier, slower paths, kept when they were replaced: the
+line-by-line pattern parser, the greedy cover that rescans every gain,
+the condensation built from tuples and sets with its per-vertex
+report, and the numeric probe's star-by-star realisation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from structctrl.structmat import ParseError, StructMatrix
 
@@ -212,3 +215,45 @@ def greedy_cover_by_rescan(inst) -> tuple[int, ...]:
         picked.append(j)
         uncovered -= inst.sets[j]
     return tuple(sorted(picked))
+
+
+def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset, frozenset[int]]:
+    """SCC labels, SCC count, quotient edge set and source set of a CSR
+    state digraph, as tuples and frozensets."""
+    count, labels = connected_components(g, directed=True, connection="strong")
+    tails = np.repeat(labels, np.diff(g.indptr))
+    heads = labels[g.indices]
+    cross = tails != heads
+    entered = heads[cross].tolist()
+    dag_edges = frozenset(zip(tails[cross].tolist(), entered))
+    non_top = frozenset(range(count)).difference(entered)
+    return tuple(labels.tolist()), count, dag_edges, non_top
+
+
+def condensation_report_by_vertex(scc_id, count, non_top, names=None) -> str:
+    """One line per SCC, its members gathered by a walk over the states."""
+    if names is None:
+        names = [f"x{v + 1}" for v in range(len(scc_id))]
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for v, s in enumerate(scc_id):
+        groups[s].append(v)
+    lines = []
+    for s, group in enumerate(groups):
+        label = " ".join(names[v] for v in group)
+        marker = " NON-TOP" if s in non_top else ""
+        lines.append(f"SCC {s + 1}: {label}{marker}")
+    return "\n".join(lines) + "\n"
+
+
+def realisation_by_stars(inst, columns, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A and B restricted to ``columns``, one uniform [-1, 1] draw per
+    star, A's stars and then B's, each in sorted (row, column) order."""
+    n, width = inst.n, len(columns)
+    offset = {j: t for t, j in enumerate(columns)}
+    a = np.zeros((n, n))
+    for r, c in sorted(inst.a.stars):
+        a[r, c] = rng.uniform(-1.0, 1.0)
+    b = np.zeros((n, width))
+    for r, c in sorted((r, offset[j]) for r, j in inst.b.stars if j in offset):
+        b[r, c] = rng.uniform(-1.0, 1.0)
+    return a, b

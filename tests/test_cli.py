@@ -2,12 +2,18 @@
 
 import pytest
 
-from structctrl import cli
+from structctrl import cli, graph
 from structctrl.bench import loglog_slope
 from structctrl.cli import main
 from structctrl.demo import two_community_network
 from structctrl.generate import random_instance
 from structctrl.matching import has_perfect_matching
+from structctrl.mincis import (
+    dedicated_input_selection,
+    leader_selection_constrained,
+    leader_selection_unconstrained,
+    solve_mincis,
+)
 from structctrl.structmat import (
     ProblemInstance,
     StructMatrix,
@@ -252,6 +258,61 @@ class TestOnePatternForm:
         assert lines[-2].startswith("CONTROLLABLE") and lines[-1].startswith("FEASIBLE ")
         assert len(parsed) == 4 and sum(m.csc[1].size for m in parsed[:2]) > 3000
         assert not any("stars" in vars(m) for m in parsed)
+
+    def test_probe_never_builds_star_sets(self, demo_file, monkeypatch, capsys):
+        # the probe's dense realisation, unlike check and solve, stays small
+        parsed = []
+
+        def recording(text):
+            parsed.extend(parse_instance_blocks(text))
+            return parsed[-2:]
+
+        monkeypatch.setattr(cli, "parse_instance_blocks", recording)
+        assert main(["probe", demo_file]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "AGREE (both true)"
+        assert len(parsed) == 2 and not any("stars" in vars(m) for m in parsed)
+
+    def test_leader_selection_never_builds_star_sets(self):
+        w = random_instance(60, 0, 0.03, 2, full_diagonal=True).a
+        b = StructMatrix(60, 12, [(i, i % 12) for i in range(60)])
+        assert leader_selection_unconstrained(w).feasible
+        assert leader_selection_constrained(w, b).feasible
+        assert "stars" not in vars(w) and "stars" not in vars(b)
+
+
+class TestOneCondensation:
+    """Each command and each selection condenses the state pattern once."""
+
+    @pytest.fixture
+    def condensations(self, monkeypatch):
+        calls = []
+        strong_components = graph.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return strong_components(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "connected_components", counting)
+        return calls
+
+    def test_solve_mincis(self, condensations):
+        for mode in ("exact", "greedy"):
+            condensations.clear()
+            assert solve_mincis(two_community_network(), mode).feasible
+            assert len(condensations) == 1
+
+    def test_dedicated_selection(self, condensations):
+        assert dedicated_input_selection(two_community_network().a).objective == 2
+        assert len(condensations) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["solve", "--mode", "greedy"], ["solve"], ["reduce"]]
+    )
+    def test_commands(self, argv, demo_file, stranded_file, condensations, capsys):
+        for path, code in ((demo_file, 0), (stranded_file, 1)):
+            condensations.clear()
+            assert main([argv[0], path, *argv[1:]]) == code
+            assert len(condensations) == 1
 
 
 class TestUsageErrors:

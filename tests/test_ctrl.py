@@ -1,21 +1,27 @@
 """Controllability tests: decomposition form, covering form, numeric probe."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from structctrl.ctrl import (
+    _realise,
+    _star_mask,
     is_structurally_controllable,
     is_structurally_controllable_pm,
     numeric_probe,
 )
 from structctrl.demo import two_community_network
+from structctrl.generate import random_instance
 from structctrl.matching import PerfectMatchingRequired
 from structctrl.mincis import InfeasibleInstance, mincis_reduce
 from structctrl.setcover import is_cover
 from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
 
-from oracles import max_matching_size, reachability_closure
+from oracles import max_matching_size, reachability_closure, realisation_by_stars
 from strategies import instances, matchable_instances
 
 
@@ -142,6 +148,23 @@ class TestNumericProbe:
             numeric_probe(inst, {0}, trials=0)
         with pytest.raises(ValueError, match="tolerance"):
             numeric_probe(inst, {0}, tol=0.0)
+
+    def test_realisations_match_the_per_star_fill(self):
+        # the probe's trial t: A's stars, then B's, from one generator
+        rng = random.Random(11)
+        for case in range(60):
+            n = rng.randint(1, 25)
+            p = rng.randint(0, 6)
+            inst = random_instance(n, p, rng.uniform(0.02, 0.6), case, full_diagonal=case % 2 == 0)
+            columns = sorted(rng.sample(range(p), rng.randint(0, p)))
+            for trial in range(2):
+                ours = np.random.default_rng((case, trial))
+                a = _realise(_star_mask(inst.a), ours)
+                b = _realise(_star_mask(inst.b)[:, columns], ours)
+                theirs = np.random.default_rng((case, trial))
+                expected_a, expected_b = realisation_by_stars(inst, columns, theirs)
+                assert np.array_equal(a, expected_a) and np.array_equal(b, expected_b)
+                assert ours.uniform() == theirs.uniform()
 
     @given(instances(), st.data())
     def test_full_rank_implies_structural(self, inst, data):

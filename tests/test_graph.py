@@ -1,9 +1,12 @@
 """Digraph construction, condensation, and coverage queries."""
 
+import copy
+import pickle
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from structctrl.bench import best_time
 from structctrl.demo import two_community_network
@@ -16,7 +19,12 @@ from structctrl.graph import (
 )
 from structctrl.structmat import StructMatrix, identity_pattern
 
-from oracles import coverage_by_scan, scc_partition
+from oracles import (
+    condensation_report_by_vertex,
+    condense_by_tuples,
+    coverage_by_scan,
+    scc_partition,
+)
 from strategies import instances, square_matrices
 
 
@@ -82,7 +90,7 @@ class TestCondense:
         cond = condense(state_digraph(identity_pattern(3)))
         assert cond.scc_count == 3
         assert cond.non_top_linked == frozenset({0, 1, 2})
-        assert not cond.dag_edges
+        assert not len(cond.dag_edges)
 
     def test_one_cycle_is_one_scc(self):
         cond = condense(state_digraph(cycle_pattern(4)))
@@ -97,7 +105,7 @@ class TestCondense:
         top = cond.scc_id[0]
         assert cond.scc_id[1] == top
         assert cond.non_top_linked == frozenset({top})
-        assert cond.dag_edges == frozenset({(top, cond.scc_id[2])})
+        assert set(map(tuple, cond.dag_edges.tolist())) == {(top, cond.scc_id[2])}
 
     def test_six_block_network(self):
         cond = condense(state_digraph(six_block_network()))
@@ -123,7 +131,32 @@ class TestCondense:
     @given(square_matrices(max_n=7))
     def test_deterministic(self, a):
         g = state_digraph(a)
-        assert condense(g) == condense(g)
+        first, second = condense(g), condense(g)
+        assert first.scc_count == second.scc_count
+        for name in ("scc_id", "dag_edges", "sources"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    @given(square_matrices(max_n=12))
+    @example(StructMatrix(1, 1, ()))
+    @example(StructMatrix(1, 1, [(0, 0)]))
+    @example(StructMatrix(5, 5, ()))
+    @example(digraph_pattern(3, {(0, 1), (1, 0), (0, 2), (1, 2)}))  # one quotient edge twice
+    def test_matches_the_tuple_condensation(self, a):
+        g = state_digraph(a)
+        cond = condense(g)
+        scc_id, count, dag_edges, non_top = condense_by_tuples(g)
+        assert cond.scc_id.tolist() == list(scc_id)
+        assert cond.scc_count == count
+        assert sorted(map(tuple, cond.dag_edges.tolist())) == sorted(dag_edges)
+        assert cond.sources.tolist() == sorted(non_top)
+        assert cond.non_top_linked == non_top
+        assert condensation_report(cond) == condensation_report_by_vertex(
+            scc_id, count, non_top
+        )
+        names = [f"s{v}" for v in range(a.rows)]
+        assert condensation_report(cond, names) == condensation_report_by_vertex(
+            scc_id, count, non_top, names
+        )
 
     def test_linear_scaling_smoke(self):
         # 4x the graph should cost clearly less than the 16x a
@@ -141,15 +174,26 @@ class TestCondense:
 class TestCondensationInvariants:
     def test_self_quotient_edges_rejected(self):
         with pytest.raises(ValueError):
-            Condensation((0, 0), 1, frozenset({(0, 0)}), frozenset())
+            Condensation((0, 0), 1, ((0, 0),), ())
 
     def test_forward_labels_rejected(self):
         with pytest.raises(ValueError, match="reverse topological"):
-            Condensation((0, 1), 2, frozenset({(0, 1)}), frozenset({0}))
+            Condensation((0, 1), 2, ((0, 1),), (0,))
 
     def test_source_set_checked(self):
         with pytest.raises(ValueError, match="non_top_linked"):
-            Condensation((0, 1), 2, frozenset({(1, 0)}), frozenset({0, 1}))
+            Condensation((0, 1), 2, ((1, 0),), (0, 1))
+
+    def test_arrays_stay_read_only_in_copies(self):
+        cond = condense(state_digraph(six_block_network()))
+        copies = (pickle.loads(pickle.dumps(cond)), copy.deepcopy(cond), copy.copy(cond))
+        for twin in (cond, *copies):
+            assert twin.scc_count == cond.scc_count
+            assert twin.non_top_linked == cond.non_top_linked
+            for name in ("scc_id", "dag_edges", "sources"):
+                array = getattr(twin, name)
+                assert np.array_equal(array, getattr(cond, name))
+                assert array.dtype == np.intp and not array.flags.writeable
 
 
 class TestInputCoverage:

@@ -1,5 +1,7 @@
 """Pattern types, algebra, and the two text formats."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -171,6 +173,14 @@ class TestStructMatrix:
             for name in ("rows", "csc", "stars"):
                 with pytest.raises(AttributeError):
                     setattr(p, name, None)
+
+    @given(struct_matrices())
+    def test_copies_keep_read_only_columns(self, m):
+        m.stars  # also when the star set is already built and cached
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert twin == m and twin.stars == m.stars
+            _assert_columns_hold_stars(twin)
+            assert not twin.csc[0].flags.writeable
 
 
 class TestProblemInstance:
