@@ -84,14 +84,15 @@ def numeric_probe(
 
     Each trial fills the stars with independent uniform [-1, 1] draws
     and tests the rank of [B, AB, ..., A^(n-1) B]; singular values below
-    tol times the largest count as zero.  True as soon as one trial
-    reaches full rank.  Trial t uses a generator derived from
-    (seed, t), so reruns and partial runs agree.
+    tol times the largest count as zero, so tol must lie strictly between
+    0 and 1 (from 1 up, not even the largest would count).  True as soon
+    as one trial reaches full rank.  Trial t uses a generator derived
+    from (seed, t), so reruns and partial runs agree.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < 1:  # also refuses nan
+        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tol:g}")
     columns = _input_columns(inst, j_set)
     if not columns:
         return False

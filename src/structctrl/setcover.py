@@ -6,7 +6,8 @@ rely on progress.
 
 File format: header line ``M N`` (universe size, set count), then
 exactly N lines, line j listing the members of set j as space-separated
-0-based integers.  An empty line is an empty set.
+0-based integers.  An empty line is an empty set.  Numbers follow the
+pattern files' rule: ASCII decimal integers with an optional sign.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .structmat import ParseError, ProblemInstance, StructMatrix, identity_pattern
+from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, identity_pattern
 
 
 class UncoverableError(ValueError):
@@ -78,62 +79,57 @@ def greedy_cover(inst: SetCoverInstance) -> tuple[int, ...]:
 def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     """Minimum-cardinality cover, ties to the lexicographically smallest index set.
 
-    Branch and bound in two passes: the first finds the optimal
-    cardinality (branching on the lowest uncovered element, greedy upper
-    bound, covering-rate lower bound), the second re-walks set indices
-    in ascending order to pin the lexicographically smallest witness of
-    that cardinality.  Both searches keep their own stacks, so neither
-    depth is bounded by the recursion limit.
+    One bounded search, ``completion``, both proves the size and pins
+    the witness.  From the greedy cover it is asked for a smaller cover
+    until it finds none, which proves the size k minimum.  Then, in
+    index order, set j is taken when some size-k cover that agrees with
+    the decisions so far holds it: the incumbent such cover, or else a
+    completion from the sets after j, which becomes the incumbent.
     """
     sets = inst.sets
+
+    def completion(uncovered: frozenset[int], first: int, budget: int) -> tuple[int, ...] | None:
+        """At most ``budget`` sets, none below ``first``, that cover ``uncovered``; or None.
+
+        Depth first on its own stack, so depth is not bounded by the
+        recursion limit.  It branches on the lowest uncovered element,
+        larger gains first, and cuts a node that could not finish within
+        the budget even if every further set gained as much as the best.
+        """
+        pool = range(first, len(sets))
+        pending = [(uncovered, ())]
+        while pending:
+            left, path = pending.pop()
+            if not left:
+                return path
+            biggest = max((len(sets[t] & left) for t in pool), default=0)
+            if not biggest or len(path) + -(-len(left) // biggest) > budget:
+                continue
+            e = min(left)
+            candidates = sorted((j for j in pool if e in sets[j]), key=lambda j: (len(sets[j] & left), -j))
+            pending.extend((left - sets[j], (*path, j)) for j in candidates)
+        return None
+
     universe = frozenset(range(inst.universe_size))
-    best_size = len(greedy_cover(inst))
-
-    def bound(uncovered: frozenset[int]) -> int:
-        biggest = max(len(s & uncovered) for s in sets)
-        return -(-len(uncovered) // biggest)
-
-    pending = [(universe, 0)]
-    while pending:
-        uncovered, depth = pending.pop()
+    best = greedy_cover(inst)
+    while (smaller := completion(universe, 0, len(best) - 1)) is not None:
+        best = smaller
+    k, incumbent = len(best), set(best)
+    chosen: list[int] = []
+    uncovered = universe
+    for j, s in enumerate(sets):
         if not uncovered:
-            best_size = min(best_size, depth)
-            continue
-        if depth + bound(uncovered) >= best_size:
-            continue
-        e = min(uncovered)
-        candidates = [j for j, s in enumerate(sets) if e in s]
-        candidates.sort(key=lambda j: (-len(sets[j] & uncovered), j))
-        pending.extend((uncovered - sets[j], depth + 1) for j in reversed(candidates))
-
-    suffix_union: list[frozenset[int]] = [frozenset()] * (len(sets) + 1)
-    for i in reversed(range(len(sets))):
-        suffix_union[i] = suffix_union[i + 1] | sets[i]
-
-    def viable(i: int, uncovered: frozenset[int], size: int) -> bool:
-        if i == len(sets) or size == best_size:
-            return False
-        if not uncovered <= suffix_union[i]:
-            return False
-        biggest = max(len(sets[t] & uncovered) for t in range(i, len(sets)))
-        return size + -(-len(uncovered) // biggest) <= best_size
-
-    # Depth first, taking set i before skipping it.  ``taken`` holds the
-    # (index, uncovered-before) of each set on the current path; a dead
-    # end drops the latest one and skips it instead.
-    taken: list[tuple[int, frozenset[int]]] = []
-    i, uncovered = 0, universe
-    while uncovered:
-        if viable(i, uncovered, len(taken)):
-            if sets[i] & uncovered:
-                taken.append((i, uncovered))
-                uncovered = uncovered - sets[i]
-            i += 1
-            continue
-        assert taken, "optimal cardinality must be attainable"
-        i, uncovered = taken.pop()
-        i += 1
-    return tuple(j for j, _ in taken)
+            break
+        if j not in incumbent:  # the incumbent's indices below j are exactly ``chosen``
+            if not s & uncovered:
+                continue
+            rest = completion(uncovered - s, j + 1, k - len(chosen) - 1)
+            if rest is None:
+                continue
+            incumbent = set(rest)
+        chosen.append(j)
+        uncovered -= s
+    return tuple(chosen)
 
 
 def setcover_to_mincis(inst: SetCoverInstance) -> ProblemInstance:
@@ -151,28 +147,20 @@ def setcover_to_mincis(inst: SetCoverInstance) -> ProblemInstance:
 
 def parse_set_cover(text: str) -> SetCoverInstance:
     lines = text.splitlines()
-    if not lines or not lines[0].split():
+    head = _integer_pair(lines[0]) if lines else None
+    if head is None or head[0] < 1 or head[1] < 0:
         raise ParseError("malformed header line 1")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("malformed header line 1")
-    try:
-        m, count = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("malformed header line 1") from None
-    if m < 1 or count < 0:
-        raise ParseError("malformed header line 1")
+    m, count = head
     if len(lines) < 1 + count:
         raise ParseError(f"expected {count} set lines, found {len(lines) - 1}")
     sets: list[frozenset[int]] = []
     for offset in range(count):
         lineno = offset + 2
+        numbers = _integers(lines[1 + offset])
+        if numbers is None:
+            raise ParseError(f"malformed element line {lineno}")
         members: set[int] = set()
-        for token in lines[1 + offset].split():
-            try:
-                e = int(token)
-            except ValueError:
-                raise ParseError(f"malformed element line {lineno}") from None
+        for e in numbers:
             if not 0 <= e < m:
                 raise ParseError(f"element out of range line {lineno}")
             if e in members:

@@ -164,15 +164,20 @@ def _significant_lines(lines: list[str], start: int):
             yield start + offset, text
 
 
-def _integer_pair(text: str) -> tuple[int, int] | None:
-    """The two integers of a header or star line, or None if it holds anything else."""
-    parts = text.split()
-    if len(parts) != 2 or not text.isascii() or "_" in text:
+def _integers(text: str) -> list[int] | None:
+    """The numbers of a line, or None unless it holds only ASCII decimal integers with optional signs."""
+    if not text.isascii() or "_" in text:
         return None
     try:
-        return int(parts[0]), int(parts[1])
+        return [int(part) for part in text.split()]
     except ValueError:
         return None
+
+
+def _integer_pair(text: str) -> tuple[int, int] | None:
+    """The two integers of a header or star line, or None if it holds anything else."""
+    numbers = _integers(text)
+    return (numbers[0], numbers[1]) if numbers is not None and len(numbers) == 2 else None
 
 
 def _read_numbers(entries: list[str]) -> np.ndarray:

@@ -7,8 +7,9 @@ permutation search, covers by subfamily enumeration, dedicated
 selection by one dense weighted assignment.  The rest are the
 package's earlier, slower paths, kept when they were replaced: the
 line-by-line pattern parser, the greedy cover that rescans every gain,
-the condensation built from tuples and sets with its per-vertex
-report, and the numeric probe's star-by-star realisation.
+the exact cover's two searches (size, then witness), the condensation
+built from tuples and sets with its per-vertex report, and the numeric
+probe's star-by-star realisation.
 """
 
 from __future__ import annotations
@@ -84,8 +85,13 @@ def spanning_cycle_union_exists(a) -> bool:
     )
 
 
-def min_cover_size(universe_size: int, sets) -> int | None:
-    """Smallest covering subfamily, by enumeration in increasing size."""
+def first_min_cover(universe_size: int, sets) -> tuple[int, ...] | None:
+    """The first covering subfamily in ``itertools.combinations`` order, by size.
+
+    Enumeration goes in increasing size, and within a size in
+    lexicographic order, so this is the lexicographically smallest
+    minimum cover.
+    """
     universe = set(range(universe_size))
     for size in range(len(sets) + 1):
         for combo in itertools.combinations(range(len(sets)), size):
@@ -93,8 +99,14 @@ def min_cover_size(universe_size: int, sets) -> int | None:
             for j in combo:
                 covered |= sets[j]
             if covered == universe:
-                return size
+                return combo
     return None
+
+
+def min_cover_size(universe_size: int, sets) -> int | None:
+    """Smallest covering subfamily's size, by enumeration in increasing size."""
+    cover = first_min_cover(universe_size, sets)
+    return None if cover is None else len(cover)
 
 
 def coverage_by_scan(cond, inst, j_set) -> frozenset[int]:
@@ -215,6 +227,61 @@ def greedy_cover_by_rescan(inst) -> tuple[int, ...]:
         picked.append(j)
         uncovered -= inst.sets[j]
     return tuple(sorted(picked))
+
+
+def exact_min_cover_two_pass(inst) -> tuple[int, ...]:
+    """Minimum cover, ties to the lexicographically smallest, in two searches.
+
+    The first finds the optimal cardinality by branch and bound on the
+    lowest uncovered element, from the greedy size; the second walks set
+    indices in ascending order, taking a set before skipping it, and
+    keeps the first path that reaches that cardinality.
+    """
+    sets = inst.sets
+    universe = frozenset(range(inst.universe_size))
+    best_size = len(greedy_cover_by_rescan(inst))
+
+    def bound(uncovered: frozenset[int]) -> int:
+        biggest = max(len(s & uncovered) for s in sets)
+        return -(-len(uncovered) // biggest)
+
+    pending = [(universe, 0)]
+    while pending:
+        uncovered, depth = pending.pop()
+        if not uncovered:
+            best_size = min(best_size, depth)
+            continue
+        if depth + bound(uncovered) >= best_size:
+            continue
+        e = min(uncovered)
+        candidates = [j for j, s in enumerate(sets) if e in s]
+        candidates.sort(key=lambda j: (-len(sets[j] & uncovered), j))
+        pending.extend((uncovered - sets[j], depth + 1) for j in reversed(candidates))
+
+    suffix_union: list[frozenset[int]] = [frozenset()] * (len(sets) + 1)
+    for i in reversed(range(len(sets))):
+        suffix_union[i] = suffix_union[i + 1] | sets[i]
+
+    def viable(i: int, uncovered: frozenset[int], size: int) -> bool:
+        if i == len(sets) or size == best_size:
+            return False
+        if not uncovered <= suffix_union[i]:
+            return False
+        biggest = max(len(sets[t] & uncovered) for t in range(i, len(sets)))
+        return size + -(-len(uncovered) // biggest) <= best_size
+
+    taken: list[tuple[int, frozenset[int]]] = []
+    i, uncovered = 0, universe
+    while uncovered:
+        if viable(i, uncovered, len(taken)):
+            if sets[i] & uncovered:
+                taken.append((i, uncovered))
+                uncovered = uncovered - sets[i]
+            i += 1
+            continue
+        i, uncovered = taken.pop()
+        i += 1
+    return tuple(j for j, _ in taken)
 
 
 def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset, frozenset[int]]:

@@ -208,6 +208,13 @@ class TestProbe:
         assert main(["probe", demo_file, "--trials", "1", "--seed", "5", "--tol", "1e-6"]) == 0
         assert "(1 trials, tol 1e-06)" in capsys.readouterr().out
 
+    def test_tolerance_outside_the_unit_interval_is_bad_input(self, demo_file, capsys):
+        for tol in ("nan", "inf", "1", "0"):
+            assert main(["probe", demo_file, "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "strictly between 0 and 1" in captured.err
+
 
 class TestBench:
     def test_smoke(self, capsys):

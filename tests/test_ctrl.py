@@ -146,8 +146,11 @@ class TestNumericProbe:
         inst = pair(1, [], 1, [(0, 0)])
         with pytest.raises(ValueError, match="at least one trial"):
             numeric_probe(inst, {0}, trials=0)
-        with pytest.raises(ValueError, match="tolerance"):
-            numeric_probe(inst, {0}, tol=0.0)
+        # from tol = 1 up no singular value exceeds tol times the
+        # largest, so even a controllable pair would read rank deficient
+        for tol in (0.0, float("nan"), float("inf"), 1.0, 2.0):
+            with pytest.raises(ValueError, match="tolerance must lie strictly between 0 and 1"):
+                numeric_probe(inst, {0}, tol=tol)
 
     def test_realisations_match_the_per_star_fill(self):
         # the probe's trial t: A's stars, then B's, from one generator

@@ -1,8 +1,10 @@
 """Set covering solvers, the file format, and the pattern embedding."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from structctrl.setcover import (
     SetCoverInstance,
@@ -16,12 +18,22 @@ from structctrl.setcover import (
 )
 from structctrl.structmat import ParseError
 
-from oracles import greedy_cover_by_rescan, harmonic, min_cover_size
+from oracles import exact_min_cover_two_pass, first_min_cover, greedy_cover_by_rescan, harmonic
 from strategies import cover_instances
 
 
 def family(m: int, *sets) -> SetCoverInstance:
     return SetCoverInstance(m, tuple(frozenset(s) for s in sets))
+
+
+def random_family(m: int, degree: int, seed: int) -> SetCoverInstance:
+    """Universe m and 2m sets; each element joins ``degree`` distinct random sets."""
+    rng = np.random.default_rng(seed)
+    sets: list[set[int]] = [set() for _ in range(2 * m)]
+    for e in range(m):
+        for j in rng.choice(2 * m, size=degree, replace=False).tolist():
+            sets[j].add(e)
+    return family(m, *sets)
 
 
 class TestInstance:
@@ -111,8 +123,8 @@ class TestExact:
         assert exact_min_cover(inst) == (1499,)
 
     def test_long_optimal_cover_stays_iterative(self):
-        # 1500 singletons: both searches go 1500 picks deep; this is the
-        # cover the reduction builds for an identity-input instance
+        # 1500 singletons, the cover the reduction builds for an
+        # identity-input instance: the witness is 1500 picks long
         inst = SetCoverInstance(1500, tuple(frozenset({e}) for e in range(1500)))
         assert exact_min_cover(inst) == tuple(range(1500))
 
@@ -120,7 +132,26 @@ class TestExact:
     def test_matches_enumeration_size(self, inst):
         chosen = exact_min_cover(inst)
         assert is_cover(inst, chosen)
-        assert len(chosen) == min_cover_size(inst.universe_size, inst.sets)
+        assert chosen == first_min_cover(inst.universe_size, inst.sets)
+
+    @pytest.mark.parametrize("m", range(16, 25))
+    @pytest.mark.parametrize("degree", (6, 7))
+    def test_matches_the_two_pass_search(self, m, degree):
+        # families shaped like the benchmark's exact covers
+        for seed in range(2):
+            inst = random_family(m, degree, seed)
+            assert exact_min_cover(inst) == exact_min_cover_two_pass(inst)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_optimum_matches_highs(self, seed):
+        inst = random_family(32, 6, seed)
+        incidence = np.zeros((inst.universe_size, len(inst.sets)))
+        for j, s in enumerate(inst.sets):
+            incidence[sorted(s), j] = 1.0
+        ones = np.ones(len(inst.sets))
+        optimum = milp(ones, constraints=LinearConstraint(incidence, lb=1.0), integrality=ones, bounds=Bounds(0, 1))
+        assert optimum.success
+        assert len(exact_min_cover(inst)) == round(optimum.fun)
 
     @given(cover_instances())
     def test_greedy_within_harmonic_factor(self, inst):
@@ -161,7 +192,8 @@ class TestParsing:
         assert parse_set_cover("1 1\n0\n\n\n").universe_size == 1
 
     def test_malformed_header(self):
-        for text in ("", "2\n", "a 1\n0\n", "0 1\n0\n"):
+        # numbers are ASCII decimal integers, as in pattern files
+        for text in ("", "2\n", "a 1\n0\n", "0 1\n0\n", "1_1 1\n0 1 2 3 4 5 6 7 8 9 1_0\n", "\u0662 1\n0\n"):
             with pytest.raises(ParseError, match="malformed header line 1"):
                 parse_set_cover(text)
 
@@ -170,8 +202,9 @@ class TestParsing:
             parse_set_cover("1 2\n0\n")
 
     def test_malformed_element(self):
-        with pytest.raises(ParseError, match="malformed element line 2"):
-            parse_set_cover("1 1\nx\n")
+        for text in ("1 1\nx\n", "11 1\n0 1 2 3 4 5 6 7 8 9 1_0\n", "4 1\n0 1 2 \u0663\n"):
+            with pytest.raises(ParseError, match="malformed element line 2"):
+                parse_set_cover(text)
 
     def test_element_out_of_range(self):
         with pytest.raises(ParseError, match="element out of range line 3"):
