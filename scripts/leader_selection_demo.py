@@ -10,7 +10,7 @@ where the dedicated-selection routine picks exactly the four sources.
 from __future__ import annotations
 
 from structctrl.demo import four_source_network, two_community_network
-from structctrl.graph import condensation_report, condense, state_digraph
+from structctrl.graph import condensation_report
 from structctrl.mincis import (
     dedicated_input_selection,
     mincis_reduce,
@@ -22,7 +22,7 @@ from structctrl.setcover import serialize_set_cover
 def constrained() -> None:
     inst = two_community_network()
     print(f"== constrained: {inst.label} ==")
-    print(condensation_report(condense(state_digraph(inst.a))), end="")
+    print(condensation_report(inst.a.condensation), end="")
     print("covering instance (universe = non-top-linked SCCs):")
     print(serialize_set_cover(mincis_reduce(inst)), end="")
     print("exact :", solve_mincis(inst).report())
@@ -32,7 +32,7 @@ def constrained() -> None:
 def unconstrained() -> None:
     inst = four_source_network()
     print(f"== unconstrained: {inst.label} ==")
-    print(condensation_report(condense(state_digraph(inst.a))), end="")
+    print(condensation_report(inst.a.condensation), end="")
     print("leaders:", dedicated_input_selection(inst.a).report())
 
 

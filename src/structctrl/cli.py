@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .bench import condense_times, dedicated_selection_times, loglog_slope
-from .ctrl import _controllable, is_structurally_controllable, numeric_probe
+from .ctrl import is_structurally_controllable, numeric_probe
 from .generate import random_instance
-from .graph import condensation_report, condense, state_digraph
+from .graph import condensation_report
 from .matching import PerfectMatchingRequired, has_perfect_matching
 from .mincis import (
     InfeasibleInstance,
@@ -60,9 +60,9 @@ def _load_instance(path: str, dual: bool) -> ProblemInstance:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file, args.dual)
-    cond = condense(state_digraph(inst.a))
+    cond = inst.a.condensation
     sys.stdout.write(condensation_report(cond))
-    verdict = _controllable(inst, cond, range(inst.p))
+    verdict = is_structurally_controllable(inst, range(inst.p))
     matchable = has_perfect_matching(inst.a)
     print(
         f"{'CONTROLLABLE' if verdict else 'NOT CONTROLLABLE'}, "
@@ -255,3 +255,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -10,6 +10,11 @@ pattern conditions, jointly equivalent to almost-sure controllability:
   (columns on the left, state rows on the right) admits a matching that
   saturates every row.
 
+Both read the analysis the state pattern caches: each pattern is
+condensed and matched at most once, on first use, however many
+selections are tested against it.  Only a state pattern without a
+perfect matching needs one more matching, of [A  B(J)], per selection.
+
 ``numeric_probe`` cross-checks the structural verdict on random numeric
 realizations.  A full-rank probe certifies structural controllability;
 a deficient probe on a structurally controllable pair can only be a
@@ -20,20 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Condensation, _input_columns, condense, input_coverage, state_digraph
+from .graph import _input_columns, input_coverage
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .structmat import ProblemInstance, StructMatrix, _star_columns
 
 _MASK64 = (1 << 64) - 1
-
-
-def _controllable(inst: ProblemInstance, cond: Condensation, columns) -> bool:
-    """The structural test for valid input columns, given the condensation of A."""
-    if input_coverage(cond, inst, columns) != cond.non_top_linked:
-        return False
-    indptr, rows = inst.b.csc
-    inputs = [rows[indptr[j] : indptr[j + 1]] for j in columns]
-    return bool((_match_rows(inst.a.csc, inst.n, inputs) >= 0).all())
 
 
 def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
@@ -43,7 +39,15 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     non-top-linked SCC holds an actuated state, since each SCC is
     reachable from some non-top-linked one.
     """
-    return _controllable(inst, condense(state_digraph(inst.a)), _input_columns(inst, j_set))
+    columns = _input_columns(inst, j_set)
+    cond = inst.a.condensation
+    if input_coverage(cond, inst, columns) != cond.non_top_linked:
+        return False
+    if inst.a.perfectly_matchable:  # a perfect matching of A saturates every row of [A  B(J)]
+        return True
+    indptr, rows = inst.b.csc
+    inputs = [rows[indptr[j] : indptr[j + 1]] for j in columns]
+    return bool((_match_rows(inst.a.csc, inst.n, inputs) >= 0).all())
 
 
 def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:
@@ -56,7 +60,7 @@ def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:
     """
     if not has_perfect_matching(inst.a):
         raise PerfectMatchingRequired("state pattern admits no perfect matching")
-    cond = condense(state_digraph(inst.a))
+    cond = inst.a.condensation
     return input_coverage(cond, inst, j_set) == cond.non_top_linked
 
 

@@ -4,7 +4,8 @@ The state digraph of a square pattern has one vertex per state and an
 edge c -> r exactly when entry (r, c) is a star: a star in row r,
 column c means state c feeds state r.  It is held as a scipy CSR
 adjacency.  Its SCCs come from ``scipy.sparse.csgraph`` and are kept as
-arrays only; each command and selection condenses an instance once.
+arrays only.  ``StructMatrix.condensation`` caches the result, so each
+pattern is condensed and matched at most once, on first use.
 """
 
 from __future__ import annotations
@@ -93,9 +94,11 @@ def condense(g: csr_matrix) -> Condensation:
 
 
 def _input_columns(inst: ProblemInstance, j_set) -> list[int]:
-    """The distinct input columns of j_set, ascending; IndexError if one is out of range."""
+    """The distinct input columns of j_set, ascending; IndexError unless each is an integer in range."""
     columns = sorted(set(j_set))
     values = np.array(columns)
+    if values.size and values.dtype.kind not in "iu":  # as for StructMatrix stars
+        raise IndexError(f"input indices must be 64-bit integers, got {values.dtype.name} values")
     outside = values[(values < 0) | (values >= inst.p)]
     if outside.size:
         raise IndexError(f"input index {outside[0]} out of range for {inst.p} inputs")

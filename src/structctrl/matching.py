@@ -83,6 +83,4 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
 
 def has_perfect_matching(a: StructMatrix) -> bool:
     """True when some matching of the square pattern saturates every row."""
-    if a.rows != a.cols:
-        raise ValueError("perfect matching needs a square pattern")
-    return bool((_match_rows(a.csc, a.rows) >= 0).all())
+    return a.perfectly_matchable

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctrl import _controllable
-from .graph import Condensation, condense, state_digraph
+from .ctrl import is_structurally_controllable
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .setcover import SetCoverInstance, exact_min_cover, greedy_cover
 from .structmat import ProblemInstance, StructMatrix, _star_columns
@@ -73,12 +72,18 @@ class SelectionResult:
         return " ".join(parts)
 
 
-def _reduce(inst: ProblemInstance, cond: Condensation) -> SetCoverInstance:
-    """``mincis_reduce`` given the condensation of the state pattern."""
+def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
+    """Build the covering instance whose solutions are minimum selections.
+
+    Requires a perfectly matchable state pattern; universe element t is
+    the t-th non-top-linked SCC (ordered by smallest member state), and
+    set j collects the SCCs that input column j actuates.
+    """
     if not has_perfect_matching(inst.a):
         raise PerfectMatchingRequired(
             "reduction precondition failed: state pattern admits no perfect matching"
         )
+    cond = inst.a.condensation
     # number the sources 0..k-1 by smallest member state, -1 elsewhere
     order, starts = cond._groups()
     ordinal = np.full(cond.scc_count, -1)
@@ -98,16 +103,6 @@ def _reduce(inst: ProblemInstance, cond: Condensation) -> SetCoverInstance:
     return SetCoverInstance(len(cond.sources), sets)
 
 
-def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
-    """Build the covering instance whose solutions are minimum selections.
-
-    Requires a perfectly matchable state pattern; universe element t is
-    the t-th non-top-linked SCC (ordered by smallest member state), and
-    set j collects the SCCs that input column j actuates.
-    """
-    return _reduce(inst, condense(state_digraph(inst.a)))
-
-
 def solve_mincis(inst: ProblemInstance, mode: str = "exact") -> SelectionResult:
     """Minimum (or greedy) input selection through the covering reduction.
 
@@ -117,14 +112,13 @@ def solve_mincis(inst: ProblemInstance, mode: str = "exact") -> SelectionResult:
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    cond = condense(state_digraph(inst.a))
     try:
-        cover = _reduce(inst, cond)
+        cover = mincis_reduce(inst)
     except InfeasibleInstance:
         return SelectionResult((), False, mode, None)
     chosen = exact_min_cover(cover) if mode == "exact" else greedy_cover(cover)
     result = SelectionResult(chosen, True, mode, len(chosen))
-    if not _controllable(inst, cond, result.chosen):
+    if not is_structurally_controllable(inst, result.chosen):
         raise AssertionError("selection failed its own controllability check")
     return result
 
@@ -140,13 +134,12 @@ def brute_force_mincis(inst: ProblemInstance, cap: int = 20) -> SelectionResult:
             f"{inst.p} input columns exceed the enumeration cap of {cap}"
         )
     everything = tuple(range(inst.p))
-    cond = condense(state_digraph(inst.a))
-    if not _controllable(inst, cond, everything):
+    if not is_structurally_controllable(inst, everything):
         # Monotone: if the full set fails, every subset fails.
         return SelectionResult((), False, "brute-force", None)
     for size in range(inst.p + 1):
         for subset in itertools.combinations(everything, size):
-            if _controllable(inst, cond, subset):
+            if is_structurally_controllable(inst, subset):
                 return SelectionResult(subset, True, "brute-force", size)
     raise AssertionError("full set passed but enumeration found nothing")
 
@@ -159,7 +152,7 @@ def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     """
     if a.rows != a.cols:
         raise ValueError("dedicated selection needs a square pattern")
-    cond = condense(state_digraph(a))
+    cond = a.condensation
     order, bounds = cond._groups()
     phantoms = [order[bounds[s] : bounds[s + 1]] for s in cond.sources.tolist()]
     owner = _match_rows(a.csc, a.rows, phantoms)

@@ -15,11 +15,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, identity_pattern
 
 
 class UncoverableError(ValueError):
     """The family's union misses part of the universe."""
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool or float: the rule ``StructMatrix`` applies to stars."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 @dataclass(frozen=True)
@@ -28,12 +35,16 @@ class SetCoverInstance:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.universe_size):
+            raise ValueError(f"universe size must be an integer, got {self.universe_size!r}")
         if self.universe_size < 1:
             raise ValueError("universe must be nonempty")
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
         seen: set[int] = set()
         for idx, s in enumerate(self.sets):
             for e in s:
+                if not _is_integer(e):
+                    raise ValueError(f"element {e!r} of set {idx} is not an integer")
                 if not 0 <= e < self.universe_size:
                     raise ValueError(f"element {e} of set {idx} outside universe")
             seen |= s

@@ -94,7 +94,21 @@ class StructMatrix:
         """The star positions (row, col), built from ``csc`` on first use."""
         return frozenset(zip(self.csc[1].tolist(), _star_columns(self).tolist()))
 
-    def __reduce__(self):  # copies and unpickled patterns go through the checks and stay read-only
+    @cached_property
+    def condensation(self):
+        """SCC condensation of the state digraph of this square pattern, built on first use."""
+        from .graph import condense, state_digraph  # graph imports this module
+        return condense(state_digraph(self))
+
+    @cached_property
+    def perfectly_matchable(self) -> bool:
+        """True when some matching of this square pattern saturates every row; found on first use."""
+        from .matching import _match_rows  # matching imports this module
+        if self.rows != self.cols:
+            raise ValueError("perfect matching needs a square pattern")
+        return bool((_match_rows(self.csc, self.rows) >= 0).all())
+
+    def __reduce__(self):  # copies go through the checks, stay read-only and carry no cache
         return StructMatrix, (self.rows, self.cols, np.column_stack((self.csc[1], _star_columns(self))))
 
     def __contains__(self, position: tuple[int, int]) -> bool:

@@ -1,17 +1,29 @@
 """End-to-end command line runs through main(argv)."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from structctrl import cli, graph
-from structctrl.bench import loglog_slope
+import structctrl
+from structctrl import cli, graph, matching
+from structctrl.bench import dedicated_selection_times, loglog_slope
+from structctrl.ctrl import is_structurally_controllable
 from structctrl.cli import main
 from structctrl.demo import two_community_network
 from structctrl.generate import random_instance
 from structctrl.matching import has_perfect_matching
 from structctrl.mincis import (
+    brute_force_mincis,
     dedicated_input_selection,
     leader_selection_constrained,
     leader_selection_unconstrained,
+    mincis_reduce,
     solve_mincis,
 )
 from structctrl.structmat import (
@@ -287,20 +299,29 @@ class TestOnePatternForm:
         assert "stars" not in vars(w) and "stars" not in vars(b)
 
 
+def _counted(monkeypatch, module, name: str) -> list:
+    """Record the calls of ``module.name`` while the test runs."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestOneCondensation:
-    """Each command and each selection condenses the state pattern once."""
+    """Each pattern is condensed and matched at most once, on first use."""
 
     @pytest.fixture
     def condensations(self, monkeypatch):
-        calls = []
-        strong_components = graph.connected_components
+        return _counted(monkeypatch, graph, "connected_components")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return strong_components(*args, **kwargs)
-
-        monkeypatch.setattr(graph, "connected_components", counting)
-        return calls
+    @pytest.fixture
+    def matchings(self, monkeypatch):
+        return _counted(monkeypatch, matching, "maximum_bipartite_matching")
 
     def test_solve_mincis(self, condensations):
         for mode in ("exact", "greedy"):
@@ -320,6 +341,57 @@ class TestOneCondensation:
             condensations.clear()
             assert main([argv[0], path, *argv[1:]]) == code
             assert len(condensations) == 1
+
+    def test_repeated_calls_on_one_instance(self, condensations):
+        inst = two_community_network()
+        for _ in range(2):
+            assert is_structurally_controllable(inst, [1])
+            assert mincis_reduce(inst).universe_size == 2
+            assert solve_mincis(inst).chosen == (1,)
+            assert brute_force_mincis(inst).chosen == (1,)
+        assert len(condensations) == 1
+
+    @pytest.mark.parametrize("argv", [["check"], ["solve", "--mode", "greedy"]])
+    def test_one_matching_per_command(self, argv, demo_file, matchings, capsys):
+        assert main([argv[0], demo_file, *argv[1:]]) == 0
+        assert len(matchings) == 1
+
+    def test_bench_condenses_in_every_timed_run(self, condensations):
+        dedicated_selection_times([50, 60], repeats=3)
+        assert len(condensations) == 6
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_carry_no_cache(self, duplicate, condensations):
+        a = two_community_network().a
+        cond = a.condensation
+        assert a.perfectly_matchable
+        twin = duplicate(a)
+        assert twin == a
+        assert "condensation" not in vars(twin) and "perfectly_matchable" not in vars(twin)
+        rebuilt = twin.condensation
+        assert len(condensations) == 2
+        assert rebuilt.scc_count == cond.scc_count
+        for name in ("scc_id", "dag_edges", "sources"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(cond, name))
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, demo_file):
+        src = str(Path(structctrl.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "structctrl.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        shown = run("--help")
+        assert shown.returncode == 0 and shown.stdout.startswith("usage: structctrl")
+        solved = run("solve", demo_file)
+        assert (solved.returncode, solved.stdout) == (0, "FEASIBLE 1: 2 [exact]\n")
 
 
 class TestUsageErrors:

@@ -68,12 +68,15 @@ class TestGeneralTest:
         inst = ProblemInstance(identity_pattern(2), identity_pattern(2))
         with pytest.raises(IndexError, match="out of range"):
             is_structurally_controllable(inst, {2})
+        for selection, kind in (([1.0], "float64"), ([True], "bool")):
+            with pytest.raises(IndexError, match=f"must be 64-bit integers, got {kind}"):
+                is_structurally_controllable(inst, selection)
 
     def test_duplicate_indices_collapse(self):
         inst = pair(1, [], 1, [(0, 0)])
         assert is_structurally_controllable(inst, [0, 0])
 
-    @given(instances(), st.data())
+    @given(st.one_of(instances(), matchable_instances()), st.data())
     def test_matches_the_closure_and_matching_oracles(self, inst, data):
         chosen = data.draw(selections(inst))
         n = inst.n

@@ -45,6 +45,14 @@ class TestInstance:
         with pytest.raises(ValueError, match="outside universe"):
             family(2, {0, 2})
 
+    def test_rejects_non_integers(self):
+        with pytest.raises(ValueError, match="element 0.5 of set 0 is not an integer"):
+            family(2, {0, 0.5})
+        with pytest.raises(ValueError, match="element 0.5 of set 0 is not an integer"):
+            family(2, {0, 0.5, 1})
+        with pytest.raises(ValueError, match="universe size must be an integer, got 2.0"):
+            family(2.0, {0, 1})
+
     def test_rejects_uncoverable_family(self):
         with pytest.raises(UncoverableError, match=r"elements \[1\] in no set"):
             family(2, {0}, {0})
