@@ -54,8 +54,10 @@ class SetCoverInstance:
 
 
 def is_cover(inst: SetCoverInstance, chosen) -> bool:
-    picked = set(chosen)
+    picked = list(chosen)
     for j in picked:
+        if not _is_integer(j):
+            raise IndexError(f"set index {j!r} is not an integer")
         if not 0 <= j < len(inst.sets):
             raise IndexError(f"set index {j} out of range for {len(inst.sets)} sets")
     covered: set[int] = set()
@@ -96,50 +98,62 @@ def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     index order, set j is taken when some size-k cover that agrees with
     the decisions so far holds it: the incumbent such cover, or else a
     completion from the sets after j, which becomes the incumbent.
-    """
-    sets = inst.sets
 
-    def completion(uncovered: frozenset[int], first: int, budget: int) -> tuple[int, ...] | None:
+    The search runs on bitmasks: set j is the Python int ``masks[j]``
+    with bit e set when e is in the set, so a gain is one ``&`` and one
+    popcount, and the sets holding an element come from its ascending
+    ``holders`` list.  The search returns the first leaf within budget
+    in depth-first order, and a sound bound cuts only subtrees that hold
+    no such leaf, so tightening the bound never changes the witness.
+    """
+    masks = [sum(1 << e for e in s) for s in inst.sets]
+    holders: list[list[int]] = [[] for _ in range(inst.universe_size)]
+    for j, s in enumerate(inst.sets):
+        for e in s:
+            holders[e].append(j)
+
+    def completion(uncovered: int, first: int, budget: int) -> tuple[int, ...] | None:
         """At most ``budget`` sets, none below ``first``, that cover ``uncovered``; or None.
 
         Depth first on its own stack, so depth is not bounded by the
         recursion limit.  It branches on the lowest uncovered element,
-        larger gains first, and cuts a node that could not finish within
-        the budget even if every further set gained as much as the best.
+        larger gains first, and cuts a node whose remaining budget of r
+        sets cannot finish even with the r largest gains in the pool.
+        ``budget`` is never negative, so neither is r.
         """
-        pool = range(first, len(sets))
+        pool = masks[first:]
         pending = [(uncovered, ())]
         while pending:
             left, path = pending.pop()
             if not left:
                 return path
-            biggest = max((len(sets[t] & left) for t in pool), default=0)
-            if not biggest or len(path) + -(-len(left) // biggest) > budget:
+            gains = [(m & left).bit_count() for m in pool]
+            if sum(sorted(gains, reverse=True)[: budget - len(path)]) < left.bit_count():
                 continue
-            e = min(left)
-            candidates = sorted((j for j in pool if e in sets[j]), key=lambda j: (len(sets[j] & left), -j))
-            pending.extend((left - sets[j], (*path, j)) for j in candidates)
+            near = holders[(left & -left).bit_length() - 1]
+            candidates = sorted((j for j in near if j >= first), key=lambda j: (gains[j - first], -j))
+            pending.extend((left & ~masks[j], (*path, j)) for j in candidates)
         return None
 
-    universe = frozenset(range(inst.universe_size))
+    universe = (1 << inst.universe_size) - 1
     best = greedy_cover(inst)
     while (smaller := completion(universe, 0, len(best) - 1)) is not None:
         best = smaller
     k, incumbent = len(best), set(best)
     chosen: list[int] = []
     uncovered = universe
-    for j, s in enumerate(sets):
+    for j, m in enumerate(masks):
         if not uncovered:
             break
         if j not in incumbent:  # the incumbent's indices below j are exactly ``chosen``
-            if not s & uncovered:
+            if not m & uncovered:
                 continue
-            rest = completion(uncovered - s, j + 1, k - len(chosen) - 1)
+            rest = completion(uncovered & ~m, j + 1, k - len(chosen) - 1)
             if rest is None:
                 continue
             incumbent = set(rest)
         chosen.append(j)
-        uncovered -= s
+        uncovered &= ~m
     return tuple(chosen)
 
 

@@ -7,7 +7,8 @@ permutation search, covers by subfamily enumeration, dedicated
 selection by one dense weighted assignment.  The rest are the
 package's earlier, slower paths, kept when they were replaced: the
 line-by-line pattern parser, the greedy cover that rescans every gain,
-the exact cover's two searches (size, then witness), the condensation
+the exact cover's two searches (size, then witness) and its one
+search on frozensets, the condensation
 built from tuples and sets with its per-vertex report, and the numeric
 probe's star-by-star realisation.
 """
@@ -282,6 +283,56 @@ def exact_min_cover_two_pass(inst) -> tuple[int, ...]:
         i, uncovered = taken.pop()
         i += 1
     return tuple(j for j, _ in taken)
+
+
+def exact_min_cover_by_frozensets(inst) -> tuple[int, ...]:
+    """Minimum cover, ties to the lexicographically smallest, by one
+    bounded search on frozensets.
+
+    ``completion(uncovered, first, budget)`` finds at most ``budget``
+    sets, none below ``first``, that cover ``uncovered``: depth first,
+    on the lowest uncovered element, larger gains first, cut when even
+    the largest gain in the pool could not finish within the budget.
+    It shrinks the greedy cover to the minimum size k, then pins the
+    witness index by index against an incumbent size-k cover.
+    """
+    sets = inst.sets
+
+    def completion(uncovered: frozenset[int], first: int, budget: int) -> tuple[int, ...] | None:
+        pool = range(first, len(sets))
+        pending = [(uncovered, ())]
+        while pending:
+            left, path = pending.pop()
+            if not left:
+                return path
+            biggest = max((len(sets[t] & left) for t in pool), default=0)
+            if not biggest or len(path) + -(-len(left) // biggest) > budget:
+                continue
+            e = min(left)
+            candidates = sorted((j for j in pool if e in sets[j]), key=lambda j: (len(sets[j] & left), -j))
+            pending.extend((left - sets[j], (*path, j)) for j in candidates)
+        return None
+
+    universe = frozenset(range(inst.universe_size))
+    best = greedy_cover_by_rescan(inst)
+    while (smaller := completion(universe, 0, len(best) - 1)) is not None:
+        best = smaller
+    k, incumbent = len(best), set(best)
+    chosen: list[int] = []
+    uncovered = universe
+    for j, s in enumerate(sets):
+        if not uncovered:
+            break
+        if j not in incumbent:
+            if not s & uncovered:
+                continue
+            rest = completion(uncovered - s, j + 1, k - len(chosen) - 1)
+            if rest is None:
+                continue
+            incumbent = set(rest)
+        chosen.append(j)
+        uncovered -= s
+    return tuple(chosen)
 
 
 def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset, frozenset[int]]:

@@ -378,19 +378,23 @@ class TestOneCondensation:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_the_cli(self, demo_file):
+    @staticmethod
+    def run(module, *argv):
         src = str(Path(structctrl.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
 
-        def run(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "structctrl.cli", *argv],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-
-        shown = run("--help")
+    def test_python_dash_m_runs_the_cli(self, demo_file):
+        shown = self.run("structctrl.cli", "--help")
         assert shown.returncode == 0 and shown.stdout.startswith("usage: structctrl")
-        solved = run("solve", demo_file)
+        solved = self.run("structctrl.cli", "solve", demo_file)
+        assert (solved.returncode, solved.stdout) == (0, "FEASIBLE 1: 2 [exact]\n")
+
+    def test_python_dash_m_runs_the_package(self, demo_file):
+        solved = self.run("structctrl", "solve", demo_file)
         assert (solved.returncode, solved.stdout) == (0, "FEASIBLE 1: 2 [exact]\n")
 
 

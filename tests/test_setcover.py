@@ -1,5 +1,7 @@
 """Set covering solvers, the file format, and the pattern embedding."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,13 @@ from structctrl.setcover import (
 )
 from structctrl.structmat import ParseError
 
-from oracles import exact_min_cover_two_pass, first_min_cover, greedy_cover_by_rescan, harmonic
+from oracles import (
+    exact_min_cover_by_frozensets,
+    exact_min_cover_two_pass,
+    first_min_cover,
+    greedy_cover_by_rescan,
+    harmonic,
+)
 from strategies import cover_instances
 
 
@@ -75,6 +83,16 @@ class TestIsCover:
         with pytest.raises(IndexError, match="out of range"):
             is_cover(inst, [1])
 
+    def test_index_must_be_an_integer(self):
+        # set indices follow the package's integer rule, as input columns do
+        inst = family(2, {0}, {1})
+        for bad in (True, 2.0, 0.5, "1", np.float64(1.0)):
+            with pytest.raises(IndexError, match=re.escape(f"set index {bad!r} is not an integer")):
+                is_cover(inst, [bad])
+        with pytest.raises(IndexError, match="set index True is not an integer"):
+            is_cover(inst, [0, 1, True])
+        assert is_cover(inst, [np.int64(0), np.int32(1)])
+
 
 class TestGreedy:
     def test_two_community_family(self):
@@ -111,6 +129,12 @@ class TestGreedy:
             sets.insert(data.draw(st.integers(0, len(sets))), missing)
         inst = SetCoverInstance(m, tuple(sets))
         assert greedy_cover(inst) == greedy_cover_by_rescan(inst)
+
+    @pytest.mark.parametrize("m", (200, 256))
+    def test_matches_the_full_rescan_on_wide_universes(self, m):
+        for seed in range(2):
+            inst = random_family(m, 6, seed)
+            assert greedy_cover(inst) == greedy_cover_by_rescan(inst)
 
 
 class TestExact:
@@ -149,6 +173,23 @@ class TestExact:
         for seed in range(2):
             inst = random_family(m, degree, seed)
             assert exact_min_cover(inst) == exact_min_cover_two_pass(inst)
+
+    @pytest.mark.parametrize("m", range(28, 33))
+    def test_matches_the_frozenset_search(self, m):
+        # the search on frozensets that the bitmask search replaced
+        for seed in range(3):
+            inst = random_family(m, 6, seed)
+            assert exact_min_cover(inst) == exact_min_cover_by_frozensets(inst)
+
+    @pytest.mark.parametrize("copies", (3, 6))
+    def test_masks_wider_than_a_machine_word(self, copies):
+        # element e of the core family reappears as c * m + e for each
+        # copy c, so the masks pass 64 bits (3 copies) or 128 (6 copies);
+        # the copies are covered exactly when e is, so the witness is the core's
+        for m in range(22, 25):
+            core = random_family(m, 6, m)
+            wide = family(m * copies, *({c * m + e for e in s for c in range(copies)} for s in core.sets))
+            assert exact_min_cover(wide) == exact_min_cover_by_frozensets(wide) == exact_min_cover_by_frozensets(core)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_optimum_matches_highs(self, seed):
