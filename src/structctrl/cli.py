@@ -12,6 +12,7 @@ perfectly matchable state pattern and the instance has none.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -162,7 +163,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="structctrl",
         description="Structural controllability analysis and minimum input selection.",

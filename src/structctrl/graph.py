@@ -116,11 +116,15 @@ def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozense
 
 def condensation_report(cond: Condensation, names=None) -> str:
     """One line per SCC: members, 1-based, with a NON-TOP marker on sources."""
+    order, bounds = cond._groups()
     if names is None:
-        names = [f"x{v + 1}" for v in range(len(cond.scc_id))]
-    lines = []
-    for s, group in enumerate(cond.members()):
-        label = " ".join(names[v] for v in group)
-        marker = " NON-TOP" if s in cond.non_top_linked else ""
-        lines.append(f"SCC {s + 1}: {label}{marker}")
-    return "\n".join(lines) + "\n"
+        grouped = [f"x{v}" for v in (order + 1).tolist()]
+    else:
+        grouped = list(map(names.__getitem__, order.tolist()))
+    markers = np.full(cond.scc_count, "", dtype=object)
+    markers[cond.sources] = " NON-TOP"
+    bounds = bounds.tolist()
+    return "".join(
+        f"SCC {s + 1}: {' '.join(grouped[lo:hi])}{marker}\n"
+        for s, (lo, hi, marker) in enumerate(zip(bounds, bounds[1:], markers.tolist()))
+    )

@@ -20,27 +20,31 @@ input pattern (rows = states, columns = inputs).
 
 Parsing
 -------
-The text is split into stripped lines and the separator is found once.
-A block's star lines become one int64 array in one ``numpy.loadtxt``
-call, and that array goes to the ``StructMatrix`` constructor, the one
-place where stars are range-checked and grouped into ``csc``.  A block
-whose numbers the constructor refuses, or in which it counts fewer
-stars than lines, is walked line by line to raise the ``ParseError`` of
-its first bad line: malformed, out of range or duplicate, numbered from
-1 in the whole text.  No ``stars`` set is built.
+A text in the common shape is read by array passes over its bytes:
+ASCII, LF or CRLF line ends, and lines that hold two integers (digits
+with an optional sign, separated by spaces or tabs), blanks only, a
+whole-line ``#`` comment, or the ``---`` separator.  The separator and
+the comments become spaces, one pass checks the byte classes, one
+checks that every non-blank line holds two tokens of at most 18 bytes
+with signs only before a digit, and one ``numpy.fromstring`` reads
+every number.  Each block's array goes to the ``StructMatrix``
+constructor, the one place where stars are range-checked and grouped
+into ``csc``; a duplicate shows as fewer stars than lines.  Any other
+text, and any text with a fault, is walked line by line, which raises
+the ``ParseError`` of the first bad line (malformed, out of range or
+duplicate, numbered from 1 in the whole text) or returns the patterns
+when it finds none.  No ``stars`` set is built.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn
 
 import numpy as np
 
 _MAX_DIMENSION = int(np.iinfo(np.int32).max)
-_STAR_LINE_BYTES = b"0123456789+- \t\x1f\n"  # what a block's star lines may hold
+_ARRAY_BYTES = b"0123456789+- \t\r\n"  # what the array pass reads, comments aside
 
 
 class ParseError(ValueError):
@@ -172,8 +176,9 @@ def identity_pattern(n: int) -> StructMatrix:
 
 
 def _significant_lines(lines: list[str], start: int):
-    """Yield (1-based line number, text) of stripped lines, skipping blanks and comments."""
-    for offset, text in enumerate(lines):
+    """Yield (1-based line number, stripped text), skipping blanks and comments."""
+    for offset, raw in enumerate(lines):
+        text = raw.strip()
         if text and not text.startswith("#"):
             yield start + offset, text
 
@@ -194,36 +199,14 @@ def _integer_pair(text: str) -> tuple[int, int] | None:
     return (numbers[0], numbers[1]) if numbers is not None and len(numbers) == 2 else None
 
 
-def _read_numbers(entries: list[str]) -> np.ndarray:
-    """The star lines' numbers, one int64 row per line; ValueError unless all are integers."""
-    if not any(entries):
-        return np.empty((0, 2), dtype=np.int64)
-    # numpy's reader sees nothing but ASCII digits, signs and blanks: it
-    # would misread some non-ASCII characters as digits.
-    if "\n".join(entries).encode().translate(None, _STAR_LINE_BYTES):
-        raise ValueError("not an ASCII integer")
-    return np.loadtxt(entries, dtype=np.int64, comments=None, ndmin=2)
+def _walk_block(lines: list[str], start: int) -> StructMatrix:
+    """Parse one block a line at a time; ``start`` numbers its first line.
 
-
-def _reject(lines: list[str], start: int, rows: int, cols: int) -> NoReturn:
-    """Raise the ParseError of the first bad star line of a refused block."""
-    seen: set[tuple[int, int]] = set()
-    for lineno, text in _significant_lines(lines, start):
-        entry = _integer_pair(text)
-        if entry is None:
-            raise ParseError(f"malformed entry line {lineno}")
-        r, c = entry
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ParseError(f"entry out of range line {lineno}")
-        if entry in seen:
-            raise ParseError(f"duplicate entry line {lineno}")
-        seen.add(entry)
-    raise AssertionError("the line walk found no fault in a block the array pass refused")
-
-
-def _parse_pattern_lines(lines: list[str], start: int) -> StructMatrix:
-    """Parse one block of stripped lines; ``start`` numbers its first line."""
-    header = next(_significant_lines(lines, start), None)
+    Raises the ParseError of the first bad line: malformed, out of range
+    or duplicate.
+    """
+    significant = _significant_lines(lines, start)
+    header = next(significant, None)
     if header is None:
         raise ParseError("missing header")
     lineno, text = header
@@ -235,25 +218,143 @@ def _parse_pattern_lines(lines: list[str], start: int) -> StructMatrix:
         raise ParseError(f"negative dimension line {lineno}")
     if max(rows, cols) > _MAX_DIMENSION:
         raise ParseError(f"dimension too large line {lineno}")
-    body = lines[lineno - start + 1 :]
-    entries = body
-    if "#" in "".join(body):
-        entries = [text for text in body if not text.startswith("#")]
-    with contextlib.suppress(ValueError):  # a line that is not a star in range
-        pairs = _read_numbers(entries)
+    seen: set[tuple[int, int]] = set()
+    for lineno, text in significant:
+        entry = _integer_pair(text)
+        if entry is None:
+            raise ParseError(f"malformed entry line {lineno}")
+        r, c = entry
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ParseError(f"entry out of range line {lineno}")
+        if entry in seen:
+            raise ParseError(f"duplicate entry line {lineno}")
+        seen.add(entry)
+    return StructMatrix(rows, cols, seen)
+
+
+def _walk(text: str, blocks: int) -> list[StructMatrix]:
+    """The ``blocks`` patterns of a text, read a line at a time."""
+    lines = text.splitlines()
+    if blocks == 1:
+        return [_walk_block(lines, 1)]
+    cuts = [i for i, line in enumerate(lines) if line.strip() == "---"]
+    if not cuts:
+        raise ParseError("missing '---' separator between the two pattern blocks")
+    if len(cuts) > 1:
+        raise ParseError(f"unexpected extra separator line {cuts[1] + 1}")
+    return [_walk_block(lines[: cuts[0]], 1), _walk_block(lines[cuts[0] + 1 :], cuts[0] + 2)]
+
+
+def _blank_comments(buf: np.ndarray) -> np.ndarray:
+    """Overwrite each line's text from its first ``#`` on with spaces; return those lines' indices."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    hashes = np.flatnonzero(buf == ord("#"))
+    lines, first = np.unique(np.searchsorted(ends, hashes), return_index=True)
+    inside = np.zeros(len(buf) + 1, np.int8)
+    inside[hashes[first]] = 1
+    inside[np.append(ends, len(buf))[lines]] = -1
+    buf[np.cumsum(inside[:-1], dtype=np.int8).view(bool)] = ord(" ")
+    return lines
+
+
+def _tokens_per_line(buf: np.ndarray) -> np.ndarray | None:
+    """The token count of each line, or None unless every token is a decimal int64.
+
+    ``buf`` holds only digits, signs, spaces, tabs, CRs and LFs.  A
+    token is a run of digits and signs: a sign may only open it and be
+    followed by a digit, and it has at most 18 bytes, so int64 holds its
+    number.
+    """
+    mark = buf > ord(" ")  # the token bytes
+    run = mark
+    for step in (1, 2, 4, 8, 3):  # run[i]: bytes i to i + 1, 3, 7, 15, then 18 are all token bytes
+        run = run[:-step] & run[step:]
+    if run.any():
+        return None
+    del run
+    mark[1:] &= ~mark[:-1]  # now each token's first byte
+    signs = np.flatnonzero((buf == ord("+")) | (buf == ord("-")))
+    if signs.size and (signs[-1] == len(buf) - 1 or not mark[signs].all() or (buf[signs + 1] < ord("0")).any()):
+        return None
+    mark |= buf == ord("\n")
+    events = np.flatnonzero(mark)  # token starts and line ends, in text order
+    del mark
+    count = np.diff(np.flatnonzero(buf[events] == ord("\n")), prepend=-1, append=len(events))
+    count -= 1
+    return count
+
+
+def _pattern(numbers: np.ndarray) -> StructMatrix | None:
+    """One block's pattern from its numbers, header first; None at any fault."""
+    if numbers.size < 2:
+        return None
+    rows, cols = numbers[:2].tolist()
+    if min(rows, cols) < 0 or max(rows, cols) > _MAX_DIMENSION:
+        return None
+    pairs = numbers[2:].reshape(-1, 2)
+    try:
         m = StructMatrix(rows, cols, pairs)
-        if m.csc[1].size == len(pairs):  # else a duplicate star
-            return m
-    _reject(body, lineno + 1, rows, cols)
+    except ValueError:  # a star out of range
+        return None
+    return m if m.csc[1].size == len(pairs) else None  # else a duplicate star
 
 
-def _stripped_lines(text: str) -> list[str]:
-    return list(map(str.strip, text.splitlines()))
+def _read_by_arrays(text: str, blocks: int) -> list[StructMatrix] | None:
+    """The ``blocks`` patterns of a text in the common shape, or None.
+
+    The common shape is ASCII text with LF or CRLF line ends, whose
+    lines each hold two integers, blanks only, a whole-line ``#``
+    comment or, in an instance, the one ``---`` separator.  Comments and
+    the separator are overwritten with spaces, each remaining check is
+    one array pass over the bytes, and one ``numpy.fromstring`` reads
+    every number.  Any other text, and any fault, gets None.
+    """
+    if not text or not text.isascii():
+        return None
+    data = bytearray(text, "ascii")
+    buf = np.frombuffer(data, np.uint8)  # writable, shares data
+    cr = np.flatnonzero(buf[:-1] == ord("\r"))
+    if (buf[cr + 1] != ord("\n")).any():  # str.splitlines ends a line at a lone CR
+        return None
+    separators = []  # the separator's line index
+    if blocks == 2:
+        cut = text.find("---")
+        if cut < 0 or text.find("---", cut + 3) >= 0:
+            return None
+        lo = text.rfind("\n", 0, cut) + 1
+        hi = text.find("\n", cut)
+        hi = len(text) if hi < 0 else hi
+        if text[lo:hi].strip(" \t\r") != "---":
+            return None
+        buf[lo:hi] = ord(" ")
+        separators.append(np.count_nonzero(buf[:lo] == ord("\n")))
+    commented = np.empty(0, np.intp)
+    if "#" in text:
+        if any(brk in text for brk in "\v\f\x1c\x1d\x1e"):  # more line ends to str.splitlines
+            return None
+        commented = _blank_comments(buf)
+    raw = bytes(data)
+    del data, buf  # the passes below hold one copy of the text
+    if raw.translate(None, _ARRAY_BYTES):
+        return None
+    count = _tokens_per_line(np.frombuffer(raw, np.uint8))
+    if count is None or ((count | 2) != 2).any() or count[commented].any():  # each line: 0 or 2 tokens
+        return None
+    bounds = [0, *(int(count[:line].sum()) for line in separators), int(count.sum())]
+    del count
+    numbers = np.fromstring(raw, dtype=np.int64, sep=" ")
+    patterns = [_pattern(numbers[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return None if any(m is None for m in patterns) else patterns
+
+
+def _read(text: str, blocks: int) -> list[StructMatrix]:
+    """The ``blocks`` patterns of a text: by arrays when it has the common shape, else line by line."""
+    return _read_by_arrays(text, blocks) or _walk(text, blocks)
 
 
 def parse_struct_matrix(text: str) -> StructMatrix:
     """Parse a single pattern block. Raises ParseError with a line number."""
-    return _parse_pattern_lines(_stripped_lines(text), 1)
+    return _read(text, 1)[0]
 
 
 def serialize_struct_matrix(m: StructMatrix) -> str:
@@ -269,16 +370,7 @@ def parse_instance_blocks(text: str) -> tuple[StructMatrix, StructMatrix]:
     Dimension coupling between the blocks is left to the caller, so the
     second block may also hold an output pattern for transposed use.
     """
-    lines = _stripped_lines(text)
-    separators = lines.count("---")
-    if not separators:
-        raise ParseError("missing '---' separator between the two pattern blocks")
-    cut = lines.index("---")
-    if separators > 1:
-        raise ParseError(f"unexpected extra separator line {lines.index('---', cut + 1) + 1}")
-    first = _parse_pattern_lines(lines[:cut], 1)
-    second = _parse_pattern_lines(lines[cut + 1 :], cut + 2)
-    return first, second
+    return tuple(_read(text, 2))
 
 
 def parse_instance(text: str) -> ProblemInstance:

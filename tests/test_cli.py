@@ -1,5 +1,6 @@
 """End-to-end command line runs through main(argv)."""
 
+import argparse
 import copy
 import os
 import pickle
@@ -408,3 +409,39 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen"])
         assert exc.value.code == 2
+
+
+class TestOneParser:
+    def test_calls_share_one_parser(self, demo_file, monkeypatch, capsys):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recorded(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        assert main(["check", demo_file]) == 0
+        assert main(["solve", demo_file]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_usage_error_leaves_the_parser_working(self, demo_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", demo_file, "--mode", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["solve", demo_file]) == 0
+        assert capsys.readouterr().out == "FEASIBLE 1: 2 [exact]\n"
+
+    @pytest.mark.parametrize("command", [[], ["check"], ["solve"], ["reduce"], ["gen"], ["probe"], ["bench"]])
+    def test_help_is_that_of_a_fresh_parser(self, command, demo_file, capsys):
+        main(["solve", demo_file])
+        capsys.readouterr()
+        fresh = cli.build_parser.__wrapped__()
+        with pytest.raises(SystemExit):
+            fresh.parse_args([*command, "--help"])
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected

@@ -158,6 +158,18 @@ class TestCondense:
             scc_id, count, non_top, names
         )
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_report_matches_the_vertex_walk_at_scale(self, seed):
+        # a sparse random digraph on 2000 states: one large SCC among many small ones
+        rng = np.random.default_rng(seed)
+        n = 2000
+        g = state_digraph(StructMatrix(n, n, rng.integers(0, n, (2 * n, 2))))
+        cond = condense(g)
+        scc_id, count, _, non_top = condense_by_tuples(g)
+        assert 100 < count < n - 100 and 0 < len(non_top) < count
+        for names in (None, [f"s{v}" for v in range(n)]):
+            assert condensation_report(cond, names) == condensation_report_by_vertex(scc_id, count, non_top, names)
+
     def test_linear_scaling_smoke(self):
         # 4x the graph should cost clearly less than the 16x a
         # quadratic implementation would; generous bound for CI noise.

@@ -191,6 +191,23 @@ class TestExact:
             wide = family(m * copies, *({c * m + e for e in s for c in range(copies)} for s in core.sets))
             assert exact_min_cover(wide) == exact_min_cover_by_frozensets(wide) == exact_min_cover_by_frozensets(core)
 
+    def test_disjoint_blocks_are_solved_apart(self):
+        # one search over the union took 7-14 s; per block it takes about 1 ms
+        blocks = [random_family(16, 6, seed) for seed in range(3)]
+        union = family(48, *({16 * b + e for e in s} for b, block in enumerate(blocks) for s in block.sets))
+        witness = [32 * b + j for b, block in enumerate(blocks) for j in exact_min_cover(block)]
+        assert exact_min_cover(union) == tuple(witness)
+        assert is_cover(union, witness)
+
+    def test_components_keep_the_lexicographic_witness(self):
+        # blocks interleaved by index, empty sets between them, and a block of one set
+        inst = family(5, {3}, set(), {0, 1}, {4}, {1, 2}, {3}, {0}, {2}, set(), {4})
+        assert exact_min_cover(inst) == exact_min_cover_by_frozensets(inst) == (0, 2, 3, 4)
+
+    @given(cover_instances())
+    def test_matches_the_frozenset_search_on_small_families(self, inst):
+        assert exact_min_cover(inst) == exact_min_cover_by_frozensets(inst)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_optimum_matches_highs(self, seed):
         inst = random_family(32, 6, seed)

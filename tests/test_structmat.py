@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from structctrl import structmat
 from structctrl.structmat import (
     ParseError,
     ProblemInstance,
@@ -319,6 +320,107 @@ class TestInstanceParsing:
     def test_label_becomes_a_comment(self):
         inst = ProblemInstance(identity_pattern(1), StructMatrix(1, 1, frozenset()), label="demo")
         assert serialize_instance(inst).startswith("# demo\n")
+
+
+def _instance_lines(seed: int, n: int = 4000) -> list[str]:
+    """About 16k lines as ``serialize_instance`` writes them: n states, three
+    stars per state row, n / 10 inputs, each state on one input, a label."""
+    rng = np.random.default_rng(seed)
+    a = StructMatrix(n, n, np.column_stack((np.repeat(np.arange(n), 3), rng.integers(0, n, 3 * n))))
+    b = StructMatrix(n, n // 10, np.column_stack((np.arange(n), rng.integers(0, n // 10, n))))
+    return serialize_instance(ProblemInstance(a, b, label=f"seed {seed}")).splitlines()
+
+
+def _respell(lines: list[str], seed: int, number, gap=lambda rng: " ") -> list[str]:
+    """Each two-number line rewritten with ``number(rng, token)`` and ``gap(rng)``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 2 and not line.startswith("#"):
+            line = number(rng, parts[0]) + gap(rng) + number(rng, parts[1])
+        out.append(line)
+    return out
+
+
+def _commented(lines: list[str], seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for line in lines:
+        if rng.random() < 0.1:
+            out.append(str(rng.choice(["# note", "  # indented 1 2", "\t#", "", "  "])))
+        out.append(line)
+    return out
+
+
+_SHAPES = {
+    "lf": lambda lines, seed: "\n".join(lines) + "\n",
+    "crlf": lambda lines, seed: "\r\n".join(lines) + "\r\n",
+    "no final line end": lambda lines, seed: "\n".join(lines),
+    "comments": lambda lines, seed: "\n".join(_commented(lines, seed)) + "\n",
+    "tabs": lambda lines, seed: "\n".join(
+        _respell(lines, seed, lambda rng, t: t, lambda rng: str(rng.choice(["\t", "  ", " \t "])))
+        + ["\t", " "]
+    ),
+    "signs": lambda lines, seed: "\n".join(
+        _respell(lines, seed, lambda rng, t: "-0" if t == "0" else str(rng.choice(["", "+"])) + t)
+    ),
+    "zero padding": lambda lines, seed: "\r\n".join(
+        _respell(lines, seed, lambda rng, t: "0" * int(rng.integers(0, 12)) + t)
+    ),
+}
+
+
+def _faulty(lines: list[str], fault: str, at: int) -> list[str]:
+    """``lines`` with one bad star line at index ``at``."""
+    lines = list(lines)
+    rows = lines[1].split()[0]
+    lines[at] = {"malformed": "1 x", "three numbers": "1 2 3", "out of range": f"{rows} 0",
+                 "past int64": "1 99999999999999999999", "duplicate": lines[at - 1]}[fault]
+    return lines
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count the texts that the line walk parses."""
+    calls = []
+    walk = structmat._walk
+
+    def counted(text, blocks):
+        calls.append(blocks)
+        return walk(text, blocks)
+
+    monkeypatch.setattr(structmat, "_walk", counted)
+    return calls
+
+
+class TestParsingAtScale:
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_accepted_shapes_match_the_line_parser(self, shape, walks):
+        for seed in range(2):
+            text = _SHAPES[shape](_instance_lines(seed), seed)
+            got = _outcome(parse_instance_blocks, text)
+            assert not isinstance(got, str)
+            assert got == _outcome(parse_blocks_by_lines, text)
+        assert walks == []
+
+    def test_written_instances_never_reach_the_line_walk(self, walks):
+        lines = _instance_lines(7)
+        first, second = parse_instance_blocks("\n".join(lines) + "\n")
+        assert parse_struct_matrix("\n".join(lines[: lines.index("---")])) == first
+        assert walks == []
+
+    @pytest.mark.parametrize("fault", ["malformed", "three numbers", "out of range", "past int64", "duplicate"])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_faults_near_the_end_match_the_line_parser(self, fault, block, walks):
+        lines = _instance_lines(3)
+        end = lines.index("---") if block == 0 else len(lines)
+        for shape in ("lf", "crlf", "comments"):
+            text = _SHAPES[shape](_faulty(lines, fault, end - 2), 3)
+            got = _outcome(parse_instance_blocks, text)
+            assert got.startswith("ParseError: ")
+            assert got == _outcome(parse_blocks_by_lines, text)
+        assert walks == [2, 2, 2]
 
 
 class TestTranspose:
