@@ -62,12 +62,6 @@ class Condensation:
         order = np.argsort(self.scc_id, kind="stable")
         return order, np.searchsorted(self.scc_id[order], np.arange(self.scc_count + 1))
 
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Vertices of each SCC, grouped by SCC index, each group sorted."""
-        order, bounds = self._groups()
-        states, bounds = order.tolist(), bounds.tolist()
-        return tuple(tuple(states[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-
 
 def state_digraph(a: StructMatrix) -> csr_matrix:
     """CSR adjacency of the state digraph: row c lists the states c feeds."""
@@ -115,7 +109,10 @@ def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozense
 
 
 def condensation_report(cond: Condensation, names=None) -> str:
-    """One line per SCC: members, 1-based, with a NON-TOP marker on sources."""
+    """One line per SCC: members, 1-based, with a NON-TOP marker on sources.
+
+    With no SCC at all the report is one empty line.
+    """
     order, bounds = cond._groups()
     if names is None:
         grouped = [f"x{v}" for v in (order + 1).tolist()]
@@ -124,7 +121,8 @@ def condensation_report(cond: Condensation, names=None) -> str:
     markers = np.full(cond.scc_count, "", dtype=object)
     markers[cond.sources] = " NON-TOP"
     bounds = bounds.tolist()
-    return "".join(
+    report = "".join(
         f"SCC {s + 1}: {' '.join(grouped[lo:hi])}{marker}\n"
         for s, (lo, hi, marker) in enumerate(zip(bounds, bounds[1:], markers.tolist()))
     )
+    return report or "\n"

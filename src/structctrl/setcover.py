@@ -93,19 +93,9 @@ def _components(inst: SetCoverInstance) -> list[list[int]]:
     """The non-empty sets grouped into connected components, each ascending.
 
     Two sets are connected when a chain of sets, each sharing an element
-    with the next, joins them.  Most families are one component, which a
-    flood from the first non-empty set confirms in a few passes; any
-    other family is grouped by union-find over the elements.
+    with the next, joins them.  The groups come from union-find over the
+    elements.
     """
-    nonempty = [j for j, s in enumerate(inst.sets) if s]
-    reach, size = set(inst.sets[nonempty[0]]), 0
-    while size < len(reach) < inst.universe_size:
-        size = len(reach)
-        for s in inst.sets:
-            if not reach.isdisjoint(s):
-                reach.update(s)
-    if len(reach) == inst.universe_size:
-        return [nonempty]
     root = list(range(inst.universe_size))
 
     def find(e: int) -> int:
@@ -114,6 +104,7 @@ def _components(inst: SetCoverInstance) -> list[list[int]]:
             e = root[e]
         return e
 
+    nonempty = [j for j, s in enumerate(inst.sets) if s]
     for j in nonempty:
         elements = iter(inst.sets[j])
         top = find(next(elements))
@@ -133,16 +124,13 @@ def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     the sorted union of the components' witnesses.  That union is the
     lexicographically smallest minimum cover: a minimum cover is one per
     component, and the pinning in ``_connected_min_cover`` decides set j
-    from j's component alone.  A component of one set is that set.
+    from j's component alone.
     """
     parts = _components(inst)
     if len(parts) == 1:
         return _connected_min_cover(inst)
     chosen: list[int] = []
     for part in parts:
-        if len(part) == 1:
-            chosen.extend(part)
-            continue
         local = {e: i for i, e in enumerate(sorted(set().union(*(inst.sets[j] for j in part))))}
         sets = tuple(frozenset(map(local.__getitem__, inst.sets[j])) for j in part)
         chosen.extend(part[i] for i in _connected_min_cover(SetCoverInstance(len(local), sets)))

@@ -20,14 +20,15 @@ input pattern (rows = states, columns = inputs).
 
 Parsing
 -------
-A text in the common shape is read by array passes over its bytes:
-ASCII, LF or CRLF line ends, and lines that hold two integers (digits
+A text in the common shape is read by array passes over its UTF-8
+bytes: LF or CRLF line ends, and lines that hold two integers (digits
 with an optional sign, separated by spaces or tabs), blanks only, a
-whole-line ``#`` comment, or the ``---`` separator.  The separator and
-the comments become spaces, one pass checks the byte classes, one
-checks that every non-blank line holds two tokens of at most 18 bytes
-with signs only before a digit, and one ``numpy.fromstring`` reads
-every number.  Each block's array goes to the ``StructMatrix``
+whole-line ``#`` comment (any characters but line ends), or the ``---``
+separator.  The separator, found by its line, and the comments become
+spaces; one pass checks that only ASCII digits, signs, blanks and line
+ends are left, one checks that every non-blank line holds two tokens of
+at most 18 bytes with signs only before a digit, and one
+``numpy.fromstring`` reads every number.  Each block's array goes to the ``StructMatrix``
 constructor, the one place where stars are range-checked and grouped
 into ``csc``; a duplicate shows as fewer stars than lines.  Any other
 text, and any text with a fault, is walked line by line, which raises
@@ -299,43 +300,54 @@ def _pattern(numbers: np.ndarray) -> StructMatrix | None:
     return m if m.csc[1].size == len(pairs) else None  # else a duplicate star
 
 
+def _separator_lines(data: bytearray) -> list[tuple[int, int]]:
+    """The byte spans of the lines that hold ``---`` between spaces, tabs and a final CR."""
+    spans = []
+    at = data.find(b"---")
+    while at >= 0:
+        lo = data.rfind(b"\n", 0, at) + 1
+        hi = data.find(b"\n", at)
+        hi = len(data) if hi < 0 else hi
+        if data[lo:hi].strip(b" \t\r") == b"---":
+            spans.append((lo, hi))
+        at = data.find(b"---", hi)
+    return spans
+
+
 def _read_by_arrays(text: str, blocks: int) -> list[StructMatrix] | None:
     """The ``blocks`` patterns of a text in the common shape, or None.
 
-    The common shape is ASCII text with LF or CRLF line ends, whose
-    lines each hold two integers, blanks only, a whole-line ``#``
-    comment or, in an instance, the one ``---`` separator.  Comments and
-    the separator are overwritten with spaces, each remaining check is
-    one array pass over the bytes, and one ``numpy.fromstring`` reads
-    every number.  Any other text, and any fault, gets None.
+    The common shape is text with LF or CRLF line ends whose lines each
+    hold two integers, blanks only, a whole-line ``#`` comment or, in an
+    instance, the one ``---`` separator; only comments may hold
+    characters beyond ASCII.  Comments and the separator are overwritten
+    with spaces in the UTF-8 bytes, each remaining check is one array
+    pass over those bytes, and one ``numpy.fromstring`` reads every
+    number.  Any other text, and any fault, gets None.
     """
-    if not text or not text.isascii():
+    if not text:
         return None
-    data = bytearray(text, "ascii")
+    data = bytearray(text, "utf-8")
     buf = np.frombuffer(data, np.uint8)  # writable, shares data
     cr = np.flatnonzero(buf[:-1] == ord("\r"))
     if (buf[cr + 1] != ord("\n")).any():  # str.splitlines ends a line at a lone CR
         return None
     separators = []  # the separator's line index
     if blocks == 2:
-        cut = text.find("---")
-        if cut < 0 or text.find("---", cut + 3) >= 0:
+        spans = _separator_lines(data)
+        if len(spans) != 1:
             return None
-        lo = text.rfind("\n", 0, cut) + 1
-        hi = text.find("\n", cut)
-        hi = len(text) if hi < 0 else hi
-        if text[lo:hi].strip(" \t\r") != "---":
-            return None
+        lo, hi = spans[0]
         buf[lo:hi] = ord(" ")
         separators.append(np.count_nonzero(buf[:lo] == ord("\n")))
     commented = np.empty(0, np.intp)
     if "#" in text:
-        if any(brk in text for brk in "\v\f\x1c\x1d\x1e"):  # more line ends to str.splitlines
+        if any(brk in text for brk in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):  # more line ends to str.splitlines
             return None
         commented = _blank_comments(buf)
     raw = bytes(data)
     del data, buf  # the passes below hold one copy of the text
-    if raw.translate(None, _ARRAY_BYTES):
+    if raw.translate(None, _ARRAY_BYTES):  # a byte beyond ASCII outside a comment, among others
         return None
     count = _tokens_per_line(np.frombuffer(raw, np.uint8))
     if count is None or ((count | 2) != 2).any() or count[commented].any():  # each line: 0 or 2 tokens

@@ -353,11 +353,18 @@ def _commented(lines: list[str], seed: int) -> list[str]:
     return out
 
 
+def _labelled(lines: list[str], seed: int) -> list[str]:
+    """``lines`` with comments beyond ASCII, some holding ``---``, around the separator."""
+    cut = lines.index("---")
+    return ["# K\u00f6nigsberg \u2014 run --- 3", *lines[:cut], "#\u00a0---", "---", "# \u5165\u529b ---", *lines[cut + 1 :]]
+
+
 _SHAPES = {
     "lf": lambda lines, seed: "\n".join(lines) + "\n",
     "crlf": lambda lines, seed: "\r\n".join(lines) + "\r\n",
     "no final line end": lambda lines, seed: "\n".join(lines),
     "comments": lambda lines, seed: "\n".join(_commented(lines, seed)) + "\n",
+    "labels beyond ASCII": lambda lines, seed: "\r\n".join(_labelled(lines, seed)) + "\r\n",
     "tabs": lambda lines, seed: "\n".join(
         _respell(lines, seed, lambda rng, t: t, lambda rng: str(rng.choice(["\t", "  ", " \t "])))
         + ["\t", " "]
@@ -409,6 +416,15 @@ class TestParsingAtScale:
         first, second = parse_instance_blocks("\n".join(lines) + "\n")
         assert parse_struct_matrix("\n".join(lines[: lines.index("---")])) == first
         assert walks == []
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029", "\x0c"])
+    def test_line_ends_inside_comments_go_to_the_line_walk(self, brk, walks):
+        # str.splitlines ends a line there, so "1 1" is a star line
+        lines = _instance_lines(5, n=40)
+        lines[0] = f"# label{brk}1 1"
+        text = "\n".join(lines) + "\n"
+        assert _outcome(parse_instance_blocks, text) == _outcome(parse_blocks_by_lines, text)
+        assert walks == [2]
 
     @pytest.mark.parametrize("fault", ["malformed", "three numbers", "out of range", "past int64", "duplicate"])
     @pytest.mark.parametrize("block", [0, 1])
