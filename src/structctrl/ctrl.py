@@ -30,6 +30,7 @@ from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .structmat import ProblemInstance, StructMatrix, _star_columns
 
 _MASK64 = (1 << 64) - 1
+_PROBE_BYTES = 1 << 30  # the most the probe's dense mask and Krylov matrix may take together
 
 
 def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
@@ -91,7 +92,9 @@ def numeric_probe(
     tol times the largest count as zero, so tol must lie strictly between
     0 and 1 (from 1 up, not even the largest would count).  True as soon
     as one trial reaches full rank.  Trial t uses a generator derived
-    from (seed, t), so reruns and partial runs agree.
+    from (seed, t), so reruns and partial runs agree.  Raises ValueError,
+    before allocating, when the dense n x n mask and the n x n|J| float64
+    Krylov matrix would exceed ``_PROBE_BYTES``.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -101,6 +104,12 @@ def numeric_probe(
     if not columns:
         return False
     n, width = inst.n, len(columns)
+    planned = n * n + 8 * n * n * width
+    if planned > _PROBE_BYTES:
+        raise ValueError(
+            f"numeric probe of {n} states and {width} inputs needs {planned / 2**30:.1f} GiB, "
+            f"over its budget of {_PROBE_BYTES / 2**30:g} GiB"
+        )
     a_stars, b_stars = _star_mask(inst.a), _star_mask(inst.b)[:, columns]
     for trial in range(trials):
         rng = np.random.default_rng((seed & _MASK64, trial))

@@ -88,19 +88,16 @@ def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
     order, starts = cond._groups()
     ordinal = np.full(cond.scc_count, -1)
     ordinal[cond.sources[np.argsort(order[starts[cond.sources]])]] = np.arange(len(cond.sources))
-    indptr, rows = inst.b.csc
-    element = ordinal[cond.scc_id[rows]]  # per input star, column by column
+    element = ordinal[cond.scc_id[inst.b.csc[1]]]  # per input star, column by column
     hit = element >= 0
-    covered = element[hit]
-    missing = np.flatnonzero(np.bincount(covered, minlength=len(cond.sources)) == 0).tolist()
+    k = len(cond.sources)
+    missing = np.flatnonzero(np.bincount(element[hit], minlength=k) == 0).tolist()
     if missing:
         raise InfeasibleInstance(
             f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
         )
-    bounds = np.concatenate(([0], np.cumsum(hit)))[indptr].tolist()
-    elements = covered.tolist()
-    sets = tuple(frozenset(elements[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    return SetCoverInstance(len(cond.sources), sets)
+    pairs = np.column_stack((element, _star_columns(inst.b)))[hit]
+    return SetCoverInstance(k, StructMatrix(k, inst.p, pairs))
 
 
 def solve_mincis(inst: ProblemInstance, mode: str = "exact") -> SelectionResult:

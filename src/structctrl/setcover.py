@@ -1,8 +1,13 @@
 """Set covering: greedy and exact solvers plus the pattern embedding.
 
-Instances are always coverable by construction; a family whose union
-misses part of the universe is rejected up front, so solver loops can
-rely on progress.
+A family is held as its incidence pattern: a ``StructMatrix`` with one
+row per element and one column per set, whose ``csc`` lists each set's
+elements in ascending order.  It is the input pattern of
+``mincis_reduce`` with its rows merged by source SCC, and
+``setcover_to_mincis`` hands it back as an input pattern.  Instances
+are always coverable by construction; a family whose union misses part
+of the universe is rejected up front, so solver loops can rely on
+progress.
 
 File format: header line ``M N`` (universe size, set count), then
 exactly N lines, line j listing the members of set j as space-separated
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, identity_pattern
+from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, identity_pattern, transpose
 
 
 class UncoverableError(ValueError):
@@ -29,28 +35,60 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
-    universe_size: int
-    sets: tuple[frozenset[int], ...]
+def _columns(m: StructMatrix) -> list[list[int]]:
+    """The rows of each column of a pattern, ascending, as Python lists."""
+    indptr, rows = m.csc
+    bounds, values = indptr.tolist(), rows.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def __post_init__(self) -> None:
-        if not _is_integer(self.universe_size):
-            raise ValueError(f"universe size must be an integer, got {self.universe_size!r}")
-        if self.universe_size < 1:
+
+def _incidence(universe_size: int, sets) -> StructMatrix:
+    """The incidence pattern of a family given as collections of integer elements."""
+    members = [list(s) for s in sets]
+    for j, s in enumerate(members):  # a bool among ints would pass as an int in the array
+        for e in s:
+            if not _is_integer(e):
+                raise ValueError(f"element {e!r} of set {j} is not an integer")
+            if not 0 <= e < universe_size:
+                raise ValueError(f"element {e} of set {j} outside universe")
+    return StructMatrix(universe_size, len(members), [(e, j) for j, s in enumerate(members) for e in s])
+
+
+@dataclass(frozen=True, init=False)
+class SetCoverInstance:
+    """A family of sets that covers ``range(universe_size)``, kept as its ``incidence`` pattern.
+
+    ``sets`` holds each set's integer elements, repeats allowed, or is
+    the universe_size x set-count incidence pattern itself.
+    """
+
+    universe_size: int
+    incidence: StructMatrix
+
+    def __init__(self, universe_size: int, sets) -> None:
+        self.__post_init__(universe_size, sets)
+
+    def __post_init__(self, universe_size: int, sets) -> None:
+        """Check the universe and the family and build ``incidence``; ``perfbench/tracing.py`` wraps it."""
+        if not _is_integer(universe_size):
+            raise ValueError(f"universe size must be an integer, got {universe_size!r}")
+        if universe_size < 1:
             raise ValueError("universe must be nonempty")
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        seen: set[int] = set()
-        for idx, s in enumerate(self.sets):
-            for e in s:
-                if not _is_integer(e):
-                    raise ValueError(f"element {e!r} of set {idx} is not an integer")
-                if not 0 <= e < self.universe_size:
-                    raise ValueError(f"element {e} of set {idx} outside universe")
-            seen |= s
-        if len(seen) != self.universe_size:
-            missing = sorted(set(range(self.universe_size)) - seen)
-            raise UncoverableError(f"uncoverable: elements {missing} in no set")
+        incidence = sets if isinstance(sets, StructMatrix) else _incidence(universe_size, sets)
+        if incidence.rows != universe_size:
+            raise ValueError(f"incidence has {incidence.rows} rows for a universe of {universe_size}")
+        seen = np.unique(incidence.csc[1])
+        if seen.size < universe_size:  # the first seen.size + 10 numbers hold the ten smallest missing
+            missing = np.setdiff1d(np.arange(min(universe_size, seen.size + 10)), seen)[:10].tolist()
+            more = universe_size - seen.size - len(missing)
+            raise UncoverableError(f"uncoverable: elements {missing}{f' and {more} more' if more else ''} in no set")
+        object.__setattr__(self, "universe_size", int(universe_size))
+        object.__setattr__(self, "incidence", incidence)
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """Each set's elements, built from ``incidence`` on first use."""
+        return tuple(map(frozenset, _columns(self.incidence)))
 
 
 def is_cover(inst: SetCoverInstance, chosen) -> bool:
@@ -58,12 +96,10 @@ def is_cover(inst: SetCoverInstance, chosen) -> bool:
     for j in picked:
         if not _is_integer(j):
             raise IndexError(f"set index {j!r} is not an integer")
-        if not 0 <= j < len(inst.sets):
-            raise IndexError(f"set index {j} out of range for {len(inst.sets)} sets")
-    covered: set[int] = set()
-    for j in picked:
-        covered |= inst.sets[j]
-    return len(covered) == inst.universe_size
+        if not 0 <= j < inst.incidence.cols:
+            raise IndexError(f"set index {j} out of range for {inst.incidence.cols} sets")
+    sets = _columns(inst.incidence)
+    return len(set().union(*(sets[j] for j in picked))) == inst.universe_size
 
 
 def greedy_cover(inst: SetCoverInstance) -> tuple[int, ...]:
@@ -74,29 +110,34 @@ def greedy_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     entry's gain is still current, no set gains more and no set of equal
     gain has a lower index; otherwise it goes back with its current gain.
     """
-    uncovered = set(range(inst.universe_size))
-    heap = [(-len(s), j) for j, s in enumerate(inst.sets) if s]
+    return _greedy(_columns(inst.incidence), inst.universe_size)
+
+
+def _greedy(sets: list[list[int]], universe_size: int) -> tuple[int, ...]:
+    """``greedy_cover`` of the family whose set j holds the elements ``sets[j]``."""
+    uncovered = set(range(universe_size))
+    heap = [(-len(s), j) for j, s in enumerate(sets) if s]
     heapq.heapify(heap)
     picked: list[int] = []
     while uncovered:
         stale, j = heapq.heappop(heap)
-        gain = len(inst.sets[j] & uncovered)
+        gain = len(uncovered.intersection(sets[j]))
         if gain == -stale:
             picked.append(j)
-            uncovered -= inst.sets[j]
+            uncovered.difference_update(sets[j])
         elif gain:
             heapq.heappush(heap, (-gain, j))
     return tuple(sorted(picked))
 
 
-def _components(inst: SetCoverInstance) -> list[list[int]]:
+def _components(sets: list[list[int]], universe_size: int) -> list[list[int]]:
     """The non-empty sets grouped into connected components, each ascending.
 
     Two sets are connected when a chain of sets, each sharing an element
     with the next, joins them.  The groups come from union-find over the
     elements.
     """
-    root = list(range(inst.universe_size))
+    root = list(range(universe_size))
 
     def find(e: int) -> int:
         while root[e] != e:
@@ -104,15 +145,14 @@ def _components(inst: SetCoverInstance) -> list[list[int]]:
             e = root[e]
         return e
 
-    nonempty = [j for j, s in enumerate(inst.sets) if s]
+    nonempty = [j for j, s in enumerate(sets) if s]
     for j in nonempty:
-        elements = iter(inst.sets[j])
-        top = find(next(elements))
-        for e in elements:
+        top = find(sets[j][0])
+        for e in sets[j][1:]:
             root[find(e)] = top
     groups: dict[int, list[int]] = {}
     for j in nonempty:
-        groups.setdefault(find(next(iter(inst.sets[j]))), []).append(j)
+        groups.setdefault(find(sets[j][0]), []).append(j)
     return list(groups.values())
 
 
@@ -126,39 +166,41 @@ def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     component, and the pinning in ``_connected_min_cover`` decides set j
     from j's component alone.
     """
-    parts = _components(inst)
-    if len(parts) == 1:
-        return _connected_min_cover(inst)
+    sets = _columns(inst.incidence)
+    holders = _columns(transpose(inst.incidence))
+    rank, place = [0] * len(sets), [0] * inst.universe_size  # a set's and an element's index in its component
     chosen: list[int] = []
-    for part in parts:
-        local = {e: i for i, e in enumerate(sorted(set().union(*(inst.sets[j] for j in part))))}
-        sets = tuple(frozenset(map(local.__getitem__, inst.sets[j])) for j in part)
-        chosen.extend(part[i] for i in _connected_min_cover(SetCoverInstance(len(local), sets)))
+    for part in _components(sets, inst.universe_size):
+        elements = sorted({e for j in part for e in sets[j]})
+        for i, j in enumerate(part):
+            rank[j] = i
+        for i, e in enumerate(elements):
+            place[e] = i
+        local_sets = [[place[e] for e in sets[j]] for j in part]
+        local_holders = [[rank[j] for j in holders[e]] for e in elements]
+        chosen.extend(part[i] for i in _connected_min_cover(local_sets, local_holders))
     return tuple(sorted(chosen))
 
 
-def _connected_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
-    """``exact_min_cover`` of a family, searched as a whole.
+def _connected_min_cover(sets: list[list[int]], holders: list[list[int]]) -> tuple[int, ...]:
+    """``exact_min_cover`` of a connected family, its sets and elements numbered from 0.
 
-    One bounded search, ``completion``, both proves the size and pins
-    the witness.  From the greedy cover it is asked for a smaller cover
-    until it finds none, which proves the size k minimum.  Then, in
-    index order, set j is taken when some size-k cover that agrees with
-    the decisions so far holds it: the incumbent such cover, or else a
-    completion from the sets after j, which becomes the incumbent.
+    Set j holds the elements ``sets[j]``, and element e lies in the sets
+    ``holders[e]``, ascending.  One bounded search, ``completion``, both
+    proves the size and pins the witness.  From the greedy cover it is
+    asked for a smaller cover until it finds none, which proves the size
+    k minimum.  Then, in index order, set j is taken when some size-k
+    cover that agrees with the decisions so far holds it: the incumbent
+    such cover, or else a completion from the sets after j, which
+    becomes the incumbent.
 
     The search runs on bitmasks: set j is the Python int ``masks[j]``
     with bit e set when e is in the set, so a gain is one ``&`` and one
-    popcount, and the sets holding an element come from its ascending
-    ``holders`` list.  The search returns the first leaf within budget
+    popcount.  The search returns the first leaf within budget
     in depth-first order, and a sound bound cuts only subtrees that hold
     no such leaf, so tightening the bound never changes the witness.
     """
-    masks = [sum(1 << e for e in s) for s in inst.sets]
-    holders: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for j, s in enumerate(inst.sets):
-        for e in s:
-            holders[e].append(j)
+    masks = [sum(1 << e for e in s) for s in sets]
 
     def completion(uncovered: int, first: int, budget: int) -> tuple[int, ...] | None:
         """At most ``budget`` sets, none below ``first``, that cover ``uncovered``; or None.
@@ -183,8 +225,8 @@ def _connected_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
             pending.extend((left & ~masks[j], (*path, j)) for j in candidates)
         return None
 
-    universe = (1 << inst.universe_size) - 1
-    best = greedy_cover(inst)
+    universe = (1 << len(holders)) - 1
+    best = _greedy(sets, len(holders))
     while (smaller := completion(universe, 0, len(best) - 1)) is not None:
         best = smaller
     k, incumbent = len(best), set(best)
@@ -213,9 +255,7 @@ def setcover_to_mincis(inst: SetCoverInstance) -> ProblemInstance:
     exactly the members of set j.  Selections that cover the universe
     are then exactly the structurally controllable input subsets.
     """
-    m = inst.universe_size
-    stars = frozenset((i, j) for j, s in enumerate(inst.sets) for i in s)
-    return ProblemInstance(identity_pattern(m), StructMatrix(m, len(inst.sets), stars))
+    return ProblemInstance(identity_pattern(inst.universe_size), inst.incidence)
 
 
 def parse_set_cover(text: str) -> SetCoverInstance:
@@ -226,7 +266,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     m, count = head
     if len(lines) < 1 + count:
         raise ParseError(f"expected {count} set lines, found {len(lines) - 1}")
-    sets: list[frozenset[int]] = []
+    sets: list[list[int]] = []
     for offset in range(count):
         lineno = offset + 2
         numbers = _integers(lines[1 + offset])
@@ -239,14 +279,14 @@ def parse_set_cover(text: str) -> SetCoverInstance:
             if e in members:
                 raise ParseError(f"duplicate element line {lineno}")
             members.add(e)
-        sets.append(frozenset(members))
+        sets.append(numbers)
     for extra in range(1 + count, len(lines)):
         if lines[extra].strip():
             raise ParseError(f"unexpected content line {extra + 1}")
-    return SetCoverInstance(m, tuple(sets))
+    return SetCoverInstance(m, sets)
 
 
 def serialize_set_cover(inst: SetCoverInstance) -> str:
-    lines = [f"{inst.universe_size} {len(inst.sets)}"]
-    lines.extend(" ".join(str(e) for e in sorted(s)) for s in inst.sets)
+    lines = [f"{inst.universe_size} {inst.incidence.cols}"]
+    lines.extend(" ".join(map(str, s)) for s in _columns(inst.incidence))
     return "\n".join(lines) + "\n"

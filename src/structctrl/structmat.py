@@ -173,7 +173,8 @@ def identity_pattern(n: int) -> StructMatrix:
     """The n x n pattern with stars exactly on the diagonal."""
     if n < 1:
         raise ValueError("identity pattern needs n >= 1")
-    return StructMatrix(n, n, frozenset((i, i) for i in range(n)))
+    diagonal = np.arange(n)
+    return StructMatrix(n, n, np.column_stack((diagonal, diagonal)))
 
 
 def _significant_lines(lines: list[str], start: int):
@@ -370,9 +371,11 @@ def parse_struct_matrix(text: str) -> StructMatrix:
 
 
 def serialize_struct_matrix(m: StructMatrix) -> str:
-    """Inverse of parse_struct_matrix: header line plus sorted star lines."""
+    """Inverse of parse_struct_matrix: header line plus star lines sorted by row, then column."""
+    rows, cols = m.csc[1], _star_columns(m)
+    order = np.lexsort((cols, rows))
     lines = [f"{m.rows} {m.cols}"]
-    lines.extend(f"{r} {c}" for r, c in sorted(m.stars))
+    lines.extend(f"{r} {c}" for r, c in zip(rows[order].tolist(), cols[order].tolist()))
     return "\n".join(lines) + "\n"
 
 

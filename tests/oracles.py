@@ -6,7 +6,8 @@ repeated squaring, matchings by enumeration, cycle unions by
 permutation search, covers by subfamily enumeration, dedicated
 selection by one dense weighted assignment.  The rest are the
 package's earlier, slower paths, kept when they were replaced: the
-line-by-line pattern parser, the greedy cover that rescans every gain,
+line-by-line pattern parser, the covering reduction that built one
+frozenset per input, the greedy cover that rescans every gain,
 the exact cover's two searches (size, then witness) and its one
 search on frozensets, the condensation
 built from tuples and sets with its per-vertex report, and the numeric
@@ -21,6 +22,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
+from structctrl.matching import PerfectMatchingRequired, has_perfect_matching
+from structctrl.mincis import InfeasibleInstance
 from structctrl.structmat import ParseError, StructMatrix
 
 
@@ -216,6 +219,34 @@ def parse_blocks_by_lines(text: str) -> tuple[StructMatrix, StructMatrix]:
     first = _parse_pattern_lines(lines[:cut], 1)
     second = _parse_pattern_lines(lines[cut + 1 :], cut + 2)
     return first, second
+
+
+def mincis_reduce_by_frozensets(inst) -> tuple[frozenset[int], ...]:
+    """The covering reduction's family, one frozenset of source ordinals per input column.
+
+    Source SCCs are numbered by smallest member state, as in
+    ``mincis_reduce``, and raise its errors with its messages.
+    """
+    if not has_perfect_matching(inst.a):
+        raise PerfectMatchingRequired(
+            "reduction precondition failed: state pattern admits no perfect matching"
+        )
+    cond = inst.a.condensation
+    order, starts = cond._groups()
+    ordinal = np.full(cond.scc_count, -1)
+    ordinal[cond.sources[np.argsort(order[starts[cond.sources]])]] = np.arange(len(cond.sources))
+    indptr, rows = inst.b.csc
+    element = ordinal[cond.scc_id[rows]]  # per input star, column by column
+    hit = element >= 0
+    covered = element[hit]
+    missing = np.flatnonzero(np.bincount(covered, minlength=len(cond.sources)) == 0).tolist()
+    if missing:
+        raise InfeasibleInstance(
+            f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
+        )
+    bounds = np.concatenate(([0], np.cumsum(hit)))[indptr].tolist()
+    elements = covered.tolist()
+    return tuple(frozenset(elements[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def greedy_cover_by_rescan(inst) -> tuple[int, ...]:

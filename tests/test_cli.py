@@ -27,6 +27,7 @@ from structctrl.mincis import (
     mincis_reduce,
     solve_mincis,
 )
+from structctrl.setcover import SetCoverInstance
 from structctrl.structmat import (
     ProblemInstance,
     StructMatrix,
@@ -298,6 +299,26 @@ class TestOnePatternForm:
         assert leader_selection_unconstrained(w).feasible
         assert leader_selection_constrained(w, b).feasible
         assert "stars" not in vars(w) and "stars" not in vars(b)
+
+    def test_cover_commands_never_build_star_sets_or_set_views(self, tmp_path, monkeypatch, capsys):
+        # gen --from-setcover embeds a cover, reduce takes it back out
+        text = "4 5\n0 1\n2\n\n1 2 3\n3\n"
+        (tmp_path / "family.cover").write_text(text)
+        built = []
+        for name in ("parse_set_cover", "setcover_to_mincis", "parse_instance_blocks", "mincis_reduce"):
+            def recording(*args, kernel=getattr(cli, name)):
+                built.append(kernel(*args))
+                return built[-1]
+
+            monkeypatch.setattr(cli, name, recording)
+        assert main(["gen", "--from-setcover", str(tmp_path / "family.cover")]) == 0
+        (tmp_path / "embedded.instance").write_text(capsys.readouterr().out)
+        assert main(["reduce", str(tmp_path / "embedded.instance")]) == 0
+        assert capsys.readouterr().out == text
+        parsed, embedded, blocks, reduced = built
+        assert parsed == reduced and isinstance(reduced, SetCoverInstance)
+        assert "sets" not in vars(parsed) and "sets" not in vars(reduced)
+        assert not any("stars" in vars(m) for m in (embedded.a, embedded.b, *blocks))
 
 
 def _counted(monkeypatch, module, name: str) -> list:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from structctrl import ctrl
+from structctrl.cli import main
 from structctrl.ctrl import (
     _realise,
     _star_mask,
@@ -19,7 +21,7 @@ from structctrl.generate import random_instance
 from structctrl.matching import PerfectMatchingRequired
 from structctrl.mincis import InfeasibleInstance, mincis_reduce
 from structctrl.setcover import is_cover
-from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
+from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern, serialize_instance
 
 from oracles import max_matching_size, reachability_closure, realisation_by_stars
 from strategies import instances, matchable_instances
@@ -154,6 +156,21 @@ class TestNumericProbe:
         for tol in (0.0, float("nan"), float("inf"), 1.0, 2.0):
             with pytest.raises(ValueError, match="tolerance must lie strictly between 0 and 1"):
                 numeric_probe(inst, {0}, tol=tol)
+
+    def test_refuses_a_probe_over_its_budget_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # 50,000 states and one input: the dense mask alone would take
+        # 2.5 GB and the Krylov matrix 20 GB
+        def refuse(m):
+            raise AssertionError("the probe allocated its dense mask")
+
+        monkeypatch.setattr(ctrl, "_star_mask", refuse)
+        inst = ProblemInstance(identity_pattern(50_000), StructMatrix(50_000, 1, [(0, 0)]))
+        with pytest.raises(ValueError, match="numeric probe of 50000 states and 1 inputs needs .* GiB, over its budget"):
+            numeric_probe(inst, {0})
+        path = tmp_path / "wide.instance"
+        path.write_text(serialize_instance(inst))
+        assert main(["probe", str(path)]) == 2
+        assert "over its budget" in capsys.readouterr().err
 
     def test_realisations_match_the_per_star_fill(self):
         # the probe's trial t: A's stars, then B's, from one generator

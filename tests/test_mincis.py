@@ -22,7 +22,7 @@ from structctrl.mincis import (
 )
 from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
 
-from oracles import dedicated_count_by_assignment
+from oracles import dedicated_count_by_assignment, mincis_reduce_by_frozensets
 from strategies import matchable_instances, square_matrices
 
 
@@ -66,6 +66,20 @@ class TestReduce:
         cover = mincis_reduce(ProblemInstance(identity_pattern(3), identity_pattern(3)))
         assert cover.universe_size == 3
         assert cover.sets == (frozenset({0}), frozenset({1}), frozenset({2}))
+
+    @given(matchable_instances())
+    def test_matches_the_frozenset_reduction(self, inst):
+        # the reduction that built one frozenset per input column
+        try:
+            expected = mincis_reduce_by_frozensets(inst)
+        except InfeasibleInstance as exc:
+            with pytest.raises(InfeasibleInstance) as raised:
+                mincis_reduce(inst)
+            assert str(raised.value) == str(exc)
+            return
+        cover = mincis_reduce(inst)
+        assert cover.sets == expected
+        assert cover.universe_size == len(inst.a.condensation.sources)
 
     def test_requires_perfect_matching(self):
         inst = ProblemInstance(

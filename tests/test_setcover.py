@@ -1,6 +1,9 @@
 """Set covering solvers, the file format, and the pattern embedding."""
 
+import copy
+import pickle
 import re
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from structctrl.demo import two_community_network
+from structctrl.mincis import mincis_reduce
 from structctrl.setcover import (
     SetCoverInstance,
     UncoverableError,
@@ -18,7 +23,7 @@ from structctrl.setcover import (
     serialize_set_cover,
     setcover_to_mincis,
 )
-from structctrl.structmat import ParseError
+from structctrl.structmat import ParseError, StructMatrix
 
 from oracles import (
     exact_min_cover_by_frozensets,
@@ -60,10 +65,47 @@ class TestInstance:
             family(2, {0, 0.5, 1})
         with pytest.raises(ValueError, match="universe size must be an integer, got 2.0"):
             family(2.0, {0, 1})
+        # numpy would read a bool among ints as an int
+        with pytest.raises(ValueError, match="element True of set 1 is not an integer"):
+            SetCoverInstance(2, [[0], [True]])
 
     def test_rejects_uncoverable_family(self):
         with pytest.raises(UncoverableError, match=r"elements \[1\] in no set"):
             family(2, {0}, {0})
+
+    def test_uncoverable_check_costs_the_stars_not_the_universe(self):
+        # one element in use out of 10**9: the check reads the one star
+        # and names the ten smallest missing elements
+        start = time.perf_counter()
+        named = re.escape("elements [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999999989 more in no set")
+        with pytest.raises(UncoverableError, match=named):
+            parse_set_cover(f"{10**9} 1\n0\n")
+        with pytest.raises(UncoverableError, match=named):
+            family(10**9, {0})
+        assert time.perf_counter() - start < 5.0
+
+    def test_rejects_an_incidence_of_another_universe(self):
+        with pytest.raises(ValueError, match="incidence has 3 rows for a universe of 2"):
+            SetCoverInstance(2, StructMatrix(3, 1, [(0, 0), (1, 0), (2, 0)]))
+
+    def test_every_form_gives_one_cover(self):
+        # frozensets, lists with repeated elements, and the reduction's arrays
+        frozen = family(2, {0}, {0, 1}, {1}, set())
+        listed = SetCoverInstance(2, [[0, 0], [1, 0, 1], [1], []])
+        reduced = mincis_reduce(two_community_network())
+        assert frozen == listed == reduced
+        assert hash(frozen) == hash(listed) == hash(reduced)
+        assert listed.sets == reduced.sets == frozen.sets
+
+    def test_copies_keep_the_incidence_read_only(self):
+        inst = family(3, {0, 1}, {2}, {1, 2})
+        for twin in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+            assert twin == inst and hash(twin) == hash(inst)
+            assert twin.incidence is not inst.incidence
+            for array in twin.incidence.csc:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
     def test_empty_sets_allowed(self):
         inst = family(1, set(), {0})
