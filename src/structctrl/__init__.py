@@ -4,11 +4,7 @@ Everything operates on {0, star} sparsity patterns: a property asserted
 here holds for almost every numeric realization of the pattern.
 """
 
-from .ctrl import (
-    is_structurally_controllable,
-    is_structurally_controllable_pm,
-    numeric_probe,
-)
+from .ctrl import is_structurally_controllable, numeric_probe
 from .graph import (
     Condensation,
     condensation_report,
@@ -54,7 +50,6 @@ from .structmat import (
     parse_struct_matrix,
     serialize_instance,
     serialize_struct_matrix,
-    transpose,
 )
 
 __version__ = "0.1.0"

@@ -91,9 +91,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file, args.dual)
     try:
         cover = mincis_reduce(inst)
-    except PerfectMatchingRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except InfeasibleInstance as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

@@ -12,8 +12,11 @@ pattern conditions, jointly equivalent to almost-sure controllability:
 
 Both read the analysis the state pattern caches: each pattern is
 condensed and matched at most once, on first use, however many
-selections are tested against it.  Only a state pattern without a
-perfect matching needs one more matching, of [A  B(J)], per selection.
+selections are tested against it.  When the state pattern has a perfect
+matching, the rank condition holds for every J, so the test is the
+paper's covering form: some selected input actuates each non-top-linked
+SCC.  Only a state pattern without one needs one more matching, of
+[A  B(J)], per selection.
 
 ``numeric_probe`` cross-checks the structural verdict on random numeric
 realizations.  A full-rank probe certifies structural controllability;
@@ -26,11 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import _input_columns, input_coverage
-from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
+from .matching import _match_rows
 from .structmat import ProblemInstance, StructMatrix, _star_columns
 
 _MASK64 = (1 << 64) - 1
-_PROBE_BYTES = 1 << 30  # the most the probe's dense mask and Krylov matrix may take together
+_PROBE_BYTES = 1 << 30  # the most memory a probe may plan to hold at once
 
 
 def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
@@ -51,24 +54,21 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     return bool((_match_rows(inst.a.csc, inst.n, inputs) >= 0).all())
 
 
-def is_structurally_controllable_pm(inst: ProblemInstance, j_set) -> bool:
-    """Covering-form test, valid only for perfectly matchable state patterns.
-
-    With a perfect matching in hand the rank condition is automatic and
-    controllability collapses to one question: does some selected input
-    actuate each non-top-linked SCC?  Raises PerfectMatchingRequired
-    rather than silently falling back to the general test.
-    """
-    if not has_perfect_matching(inst.a):
-        raise PerfectMatchingRequired("state pattern admits no perfect matching")
-    cond = inst.a.condensation
-    return input_coverage(cond, inst, j_set) == cond.non_top_linked
-
-
 def _star_mask(m: StructMatrix) -> np.ndarray:
     mask = np.zeros((m.rows, m.cols), dtype=bool)
     mask[m.csc[1], _star_columns(m)] = True
     return mask
+
+
+def _probe_bytes(inst: ProblemInstance, width: int) -> int:
+    """Bytes ``numeric_probe`` may hold at once with ``width`` inputs, summed over its phases.
+
+    Bool masks of A, B and the selection plus the star indices that fill
+    them; A's float64 realisation; the selection's realisation, draws and
+    two Krylov blocks; the Krylov matrix and the copy its SVD works on.
+    """
+    n, stars = inst.n, inst.a.csc[1].size + inst.b.csc[1].size
+    return n * (n + inst.p) + 16 * stars + 8 * n * n + 33 * n * width + 16 * n * n * width
 
 
 def _realise(stars: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -93,8 +93,7 @@ def numeric_probe(
     0 and 1 (from 1 up, not even the largest would count).  True as soon
     as one trial reaches full rank.  Trial t uses a generator derived
     from (seed, t), so reruns and partial runs agree.  Raises ValueError,
-    before allocating, when the dense n x n mask and the n x n|J| float64
-    Krylov matrix would exceed ``_PROBE_BYTES``.
+    before allocating, when ``_probe_bytes`` exceeds ``_PROBE_BYTES``.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -104,7 +103,7 @@ def numeric_probe(
     if not columns:
         return False
     n, width = inst.n, len(columns)
-    planned = n * n + 8 * n * n * width
+    planned = _probe_bytes(inst, width)
     if planned > _PROBE_BYTES:
         raise ValueError(
             f"numeric probe of {n} states and {width} inputs needs {planned / 2**30:.1f} GiB, "
@@ -120,6 +119,7 @@ def numeric_probe(
             krylov[:, power * width : (power + 1) * width] = block
             block = a @ block
         singular = np.linalg.svd(krylov, compute_uv=False)
+        del a, b, block, krylov  # the next trial's arrays replace these rather than join them
         if singular.size and singular[0] > 0.0:
             if int(np.count_nonzero(singular > tol * singular[0])) == n:
                 return True

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .structmat import ProblemInstance, StructMatrix
+from .structmat import ProblemInstance, StructMatrix, _is_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,7 @@ def condense(g: csr_matrix) -> Condensation:
 def _input_columns(inst: ProblemInstance, j_set) -> list[int]:
     """The distinct input columns of j_set, ascending; IndexError unless each is an integer in range."""
     columns = sorted(set(j_set))
-    values = np.array(columns)
+    values = np.array([v for v in columns if not _is_integer(v)] or columns)  # the non-integers, if any, name the dtype
     if values.size and values.dtype.kind not in "iu":  # as for StructMatrix stars
         raise IndexError(f"input indices must be 64-bit integers, got {values.dtype.name} values")
     outside = values[(values < 0) | (values >= inst.p)]

@@ -23,16 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, identity_pattern, transpose
+from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, _is_integer, identity_pattern
 
 
 class UncoverableError(ValueError):
     """The family's union misses part of the universe."""
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, not a bool or float: the rule ``StructMatrix`` applies to stars."""
-    return type(value) is int or isinstance(value, np.integer)
 
 
 def _columns(m: StructMatrix) -> list[list[int]]:
@@ -45,13 +40,14 @@ def _columns(m: StructMatrix) -> list[list[int]]:
 def _incidence(universe_size: int, sets) -> StructMatrix:
     """The incidence pattern of a family given as collections of integer elements."""
     members = [list(s) for s in sets]
-    for j, s in enumerate(members):  # a bool among ints would pass as an int in the array
+    for j, s in enumerate(members):  # checked here to name the set; the array skips the constructor's scan
         for e in s:
             if not _is_integer(e):
                 raise ValueError(f"element {e!r} of set {j} is not an integer")
             if not 0 <= e < universe_size:
                 raise ValueError(f"element {e} of set {j} outside universe")
-    return StructMatrix(universe_size, len(members), [(e, j) for j, s in enumerate(members) for e in s])
+    pairs = np.array([(e, j) for j, s in enumerate(members) for e in s], dtype=np.int64).reshape(-1, 2)
+    return StructMatrix(universe_size, len(members), pairs)
 
 
 @dataclass(frozen=True, init=False)
@@ -84,6 +80,9 @@ class SetCoverInstance:
             raise UncoverableError(f"uncoverable: elements {missing}{f' and {more} more' if more else ''} in no set")
         object.__setattr__(self, "universe_size", int(universe_size))
         object.__setattr__(self, "incidence", incidence)
+
+    def __reduce__(self):  # copies go through the checks and carry no ``sets`` view
+        return SetCoverInstance, (self.universe_size, self.incidence)
 
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
@@ -159,34 +158,28 @@ def _components(sets: list[list[int]], universe_size: int) -> list[list[int]]:
 def exact_min_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     """Minimum-cardinality cover, ties to the lexicographically smallest index set.
 
-    Each connected component of the family is solved alone, its elements
-    numbered from 0 and its sets kept in index order, and the witness is
-    the sorted union of the components' witnesses.  That union is the
-    lexicographically smallest minimum cover: a minimum cover is one per
-    component, and the pinning in ``_connected_min_cover`` decides set j
-    from j's component alone.
+    Each connected component of the family is solved alone: its sets keep
+    their index order, and a dict numbers its elements from 0 in
+    ascending order.  The witness is the sorted union of the components'
+    witnesses.  That union is the lexicographically smallest minimum
+    cover: a minimum cover is one per component, and the pinning in
+    ``_connected_min_cover`` decides set j from j's component alone.
     """
     sets = _columns(inst.incidence)
-    holders = _columns(transpose(inst.incidence))
-    rank, place = [0] * len(sets), [0] * inst.universe_size  # a set's and an element's index in its component
     chosen: list[int] = []
     for part in _components(sets, inst.universe_size):
-        elements = sorted({e for j in part for e in sets[j]})
-        for i, j in enumerate(part):
-            rank[j] = i
-        for i, e in enumerate(elements):
-            place[e] = i
+        place = {e: i for i, e in enumerate(sorted({e for j in part for e in sets[j]}))}
         local_sets = [[place[e] for e in sets[j]] for j in part]
-        local_holders = [[rank[j] for j in holders[e]] for e in elements]
-        chosen.extend(part[i] for i in _connected_min_cover(local_sets, local_holders))
+        chosen.extend(part[i] for i in _connected_min_cover(local_sets, len(place)))
     return tuple(sorted(chosen))
 
 
-def _connected_min_cover(sets: list[list[int]], holders: list[list[int]]) -> tuple[int, ...]:
+def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int, ...]:
     """``exact_min_cover`` of a connected family, its sets and elements numbered from 0.
 
-    Set j holds the elements ``sets[j]``, and element e lies in the sets
-    ``holders[e]``, ascending.  One bounded search, ``completion``, both
+    Set j holds the elements ``sets[j]``.  One pass over the sets lists
+    the sets ``holders[e]`` that hold element e, ascending by
+    construction.  One bounded search, ``completion``, both
     proves the size and pins the witness.  From the greedy cover it is
     asked for a smaller cover until it finds none, which proves the size
     k minimum.  Then, in index order, set j is taken when some size-k
@@ -201,6 +194,10 @@ def _connected_min_cover(sets: list[list[int]], holders: list[list[int]]) -> tup
     no such leaf, so tightening the bound never changes the witness.
     """
     masks = [sum(1 << e for e in s) for s in sets]
+    holders: list[list[int]] = [[] for _ in range(universe_size)]
+    for j, s in enumerate(sets):
+        for e in s:
+            holders[e].append(j)
 
     def completion(uncovered: int, first: int, budget: int) -> tuple[int, ...] | None:
         """At most ``budget`` sets, none below ``first``, that cover ``uncovered``; or None.
@@ -225,8 +222,8 @@ def _connected_min_cover(sets: list[list[int]], holders: list[list[int]]) -> tup
             pending.extend((left & ~masks[j], (*path, j)) for j in candidates)
         return None
 
-    universe = (1 << len(holders)) - 1
-    best = _greedy(sets, len(holders))
+    universe = (1 << universe_size) - 1
+    best = _greedy(sets, universe_size)
     while (smaller := completion(universe, 0, len(best) - 1)) is not None:
         best = smaller
     k, incumbent = len(best), set(best)

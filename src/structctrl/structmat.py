@@ -52,6 +52,11 @@ class ParseError(ValueError):
     """Malformed pattern or instance text. Message names the offending line."""
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool or float; numpy reads a bool among ints as an int."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StructMatrix:
     """A {0, star} matrix given by its dimensions and star positions.
@@ -79,8 +84,13 @@ class StructMatrix:
             raise ValueError(f"dimensions must be nonnegative, got {self.rows}x{self.cols}")
         if max(self.rows, self.cols) > _MAX_DIMENSION:
             raise ValueError(f"dimensions must be at most 2**31 - 1, got {self.rows}x{self.cols}")
-        pairs = np.asarray(stars if isinstance(stars, np.ndarray) else list(stars))  # ValueError if ragged
-        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
+        if not isinstance(stars, np.ndarray):
+            stars = list(stars)
+        pairs = np.asarray(stars)  # ValueError if ragged
+        if pairs.size and (
+            pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+            or isinstance(stars, list) and not all(_is_integer(v) for star in stars for v in star)
+        ):
             raise ValueError("stars must be (row, col) pairs of 64-bit integers")
         pairs = pairs.reshape(-1, 2).astype(np.int64, copy=False)
         outside = pairs.view(np.uint64) >= (self.rows, self.cols)  # a negative index wraps high
@@ -291,12 +301,10 @@ def _pattern(numbers: np.ndarray) -> StructMatrix | None:
     if numbers.size < 2:
         return None
     rows, cols = numbers[:2].tolist()
-    if min(rows, cols) < 0 or max(rows, cols) > _MAX_DIMENSION:
-        return None
     pairs = numbers[2:].reshape(-1, 2)
     try:
         m = StructMatrix(rows, cols, pairs)
-    except ValueError:  # a star out of range
+    except ValueError:  # a dimension or a star out of range
         return None
     return m if m.csc[1].size == len(pairs) else None  # else a duplicate star
 

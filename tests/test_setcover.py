@@ -99,8 +99,10 @@ class TestInstance:
 
     def test_copies_keep_the_incidence_read_only(self):
         inst = family(3, {0, 1}, {2}, {1, 2})
+        inst.sets  # copies go through the constructor, so they leave the built view behind
         for twin in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
             assert twin == inst and hash(twin) == hash(inst)
+            assert "sets" not in vars(twin)
             assert twin.incidence is not inst.incidence
             for array in twin.incidence.csc:
                 assert not array.flags.writeable

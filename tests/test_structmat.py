@@ -153,6 +153,8 @@ class TestStructMatrix:
             [(0, 1), (1,)],
             [(0, 1), 1],
             {("0", "1")},
+            [(0, 0), (True, 1)],  # numpy would read the bool as the int 1
+            [(0, 0), (1, np.bool_(False))],
             np.array([[0.0, 1.0]]),
             np.zeros((2, 3), dtype=np.int64),
         ):
