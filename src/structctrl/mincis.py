@@ -62,12 +62,12 @@ class SelectionResult:
         elif self.chosen or self.objective is not None:
             raise ValueError("infeasible results carry no selection")
 
-    def report(self, index_base: int = 1) -> str:
-        """Human-readable one-liner; indices shift by index_base."""
+    def report(self) -> str:
+        """Human-readable one-liner with 1-based input numbers."""
         if not self.feasible:
             return "INFEASIBLE"
         parts = [f"FEASIBLE {len(self.chosen)}:"]
-        parts.extend(str(j + index_base) for j in self.chosen)
+        parts.extend(str(j + 1) for j in self.chosen)
         parts.append(f"[{self.certificate}]")
         return " ".join(parts)
 
@@ -144,11 +144,9 @@ def brute_force_mincis(inst: ProblemInstance, cap: int = 20) -> SelectionResult:
 def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     """Minimum set of states to actuate with their own dedicated inputs.
 
-    Always feasible: actuating every state trivially suffices.  Runs in
-    O(E sqrt(n)) for E stars; the result is exact.
+    Always feasible: actuating every state suffices.  Exact, in O(E sqrt(n))
+    for E stars; a non-square pattern raises ValueError from its condensation.
     """
-    if a.rows != a.cols:
-        raise ValueError("dedicated selection needs a square pattern")
     cond = a.condensation
     order, bounds = cond._groups()
     phantoms = [order[bounds[s] : bounds[s + 1]] for s in cond.sources.tolist()]

@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .structmat import ParseError, ProblemInstance, StructMatrix, _integer_pair, _integers, _is_integer, identity_pattern
+from .structmat import ParseError, ProblemInstance, StructMatrix, identity_pattern
+from .structmat import _column_indices, _integer_pair, _integers, _is_integer
 
 
 class UncoverableError(ValueError):
@@ -91,12 +92,7 @@ class SetCoverInstance:
 
 
 def is_cover(inst: SetCoverInstance, chosen) -> bool:
-    picked = list(chosen)
-    for j in picked:
-        if not _is_integer(j):
-            raise IndexError(f"set index {j!r} is not an integer")
-        if not 0 <= j < inst.incidence.cols:
-            raise IndexError(f"set index {j} out of range for {inst.incidence.cols} sets")
+    picked = _column_indices(inst.incidence, chosen, "set")
     sets = _columns(inst.incidence)
     return len(set().union(*(sets[j] for j in picked))) == inst.universe_size
 

@@ -57,6 +57,18 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
+def _column_indices(m: StructMatrix, selection, noun: str) -> list[int]:
+    """The distinct columns of ``m`` in ``selection``, ascending; IndexError names the first
+    value that is no column index, checked before any merge, so a bool never passes as an int."""
+    picked = list(selection)
+    for v in picked:
+        if not _is_integer(v):
+            raise IndexError(f"{noun} index {v!r} is not an integer")
+        if not 0 <= v < m.cols:
+            raise IndexError(f"{noun} index {v} out of range for {m.cols} {noun}s")
+    return sorted(set(picked))
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StructMatrix:
     """A {0, star} matrix given by its dimensions and star positions.
@@ -99,7 +111,8 @@ class StructMatrix:
             raise ValueError(f"star {(r, c)} outside {self.rows}x{self.cols}")
         keys = np.sort(pairs[:, 1] * self.rows + pairs[:, 0])  # np.unique hashes, which is slower here
         keys = np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]))
-        indptr = np.searchsorted(keys, np.arange(self.cols + 1) * self.rows).astype(np.int32)
+        indptr = np.zeros(self.cols + 1, np.int32)
+        np.cumsum(np.bincount(keys // max(self.rows, 1), minlength=self.cols), dtype=np.int32, out=indptr[1:])
         rows = (keys % max(self.rows, 1)).astype(np.int32)
         indptr.flags.writeable = rows.flags.writeable = False
         object.__setattr__(self, "csc", (indptr, rows))

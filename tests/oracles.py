@@ -379,10 +379,9 @@ def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset, frozenset[in
     return tuple(labels.tolist()), count, dag_edges, non_top
 
 
-def condensation_report_by_vertex(scc_id, count, non_top, names=None) -> str:
+def condensation_report_by_vertex(scc_id, count, non_top) -> str:
     """One line per SCC, its members gathered by a walk over the states."""
-    if names is None:
-        names = [f"x{v + 1}" for v in range(len(scc_id))]
+    names = [f"x{v + 1}" for v in range(len(scc_id))]
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, s in enumerate(scc_id):
         groups[s].append(v)

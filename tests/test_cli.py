@@ -379,7 +379,7 @@ class TestOneCondensation:
         assert len(matchings) == 1
 
     def test_bench_condenses_in_every_timed_run(self, condensations):
-        dedicated_selection_times([50, 60], repeats=3)
+        dedicated_selection_times([50, 60])
         assert len(condensations) == 6
 
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Controllability tests: decomposition form, covering form, numeric probe."""
 
+import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from structctrl.ctrl import (
 )
 from structctrl.demo import two_community_network
 from structctrl.generate import random_instance
+from structctrl.graph import input_coverage
 from structctrl.mincis import InfeasibleInstance, mincis_reduce
 from structctrl.setcover import is_cover
 from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern, serialize_instance
@@ -70,9 +73,17 @@ class TestGeneralTest:
         inst = ProblemInstance(identity_pattern(2), identity_pattern(2))
         with pytest.raises(IndexError, match="out of range"):
             is_structurally_controllable(inst, {2})
-        for selection, kind in (([1.0], "float64"), ([True], "bool"), ([0, True], "bool")):
-            with pytest.raises(IndexError, match=f"must be 64-bit integers, got {kind}"):
+        # each value is checked before duplicates merge, so True never passes as 1
+        cases = [([1.0], 1.0), ([True], True), ([0, True], True), ([1, True], True), ((True, 1), True),
+                 ([1, "a"], "a"), ([0, None], None)]
+        for selection, bad in cases:
+            message = re.escape(f"input index {bad!r} is not an integer")
+            with pytest.raises(IndexError, match=message):
                 is_structurally_controllable(inst, selection)
+            with pytest.raises(IndexError, match=message):
+                input_coverage(inst.a.condensation, inst, selection)
+            with pytest.raises(IndexError, match=message):
+                numeric_probe(inst, selection)
 
     def test_duplicate_indices_collapse(self):
         inst = pair(1, [], 1, [(0, 0)])
@@ -175,6 +186,26 @@ class TestNumericProbe:
                 finally:
                     tracemalloc.stop()
                 assert peak <= _probe_bytes(inst, width)
+
+    @pytest.mark.filterwarnings("error")
+    def test_mid_size_probe_gets_a_verdict(self, tmp_path):
+        # unscaled, the powers A^k B overflowed float64 here and the SVD did not converge
+        inst = random_instance(600, 5, 0.05, 600, full_diagonal=True)
+        assert numeric_probe(inst, range(inst.p)) in (True, False)
+        path = tmp_path / "mid.instance"
+        path.write_text(serialize_instance(inst))
+        assert main(["probe", str(path)]) in (0, 1)
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_few_false_negatives_at_mid_size(self, n):
+        # the first 30 structurally controllable draws of one seeded family
+        controllable = (
+            inst
+            for inst in (random_instance(n, 6, 0.05, seed, full_diagonal=True) for seed in itertools.count())
+            if is_structurally_controllable(inst, range(inst.p))
+        )
+        misses = sum(not numeric_probe(inst, range(inst.p)) for inst in itertools.islice(controllable, 30))
+        assert misses <= 1
 
     def test_realisations_match_the_per_star_fill(self):
         # the probe's trial t: A's stars, then B's, from one generator

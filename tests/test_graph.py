@@ -155,10 +155,6 @@ class TestCondense:
         assert condensation_report(cond) == condensation_report_by_vertex(
             scc_id, count, non_top
         )
-        names = [f"s{v}" for v in range(a.rows)]
-        assert condensation_report(cond, names) == condensation_report_by_vertex(
-            scc_id, count, non_top, names
-        )
 
     @pytest.mark.parametrize("seed", range(2))
     def test_report_matches_the_vertex_walk_at_scale(self, seed):
@@ -169,8 +165,7 @@ class TestCondense:
         cond = condense(g)
         scc_id, count, _, non_top = condense_by_tuples(g)
         assert 100 < count < n - 100 and 0 < len(non_top) < count
-        for names in (None, [f"s{v}" for v in range(n)]):
-            assert condensation_report(cond, names) == condensation_report_by_vertex(scc_id, count, non_top, names)
+        assert condensation_report(cond) == condensation_report_by_vertex(scc_id, count, non_top)
 
     def test_linear_scaling_smoke(self):
         # 4x the graph should cost clearly less than the 16x a
@@ -179,7 +174,7 @@ class TestCondense:
             rng = random.Random(97 + n)
             edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)}
             g = state_digraph(digraph_pattern(n, edges))
-            return best_time(lambda: condense(g), repeats=3)
+            return best_time(lambda: condense(g))
 
         small, large = timed(4000), timed(16000)
         assert large < max(10.0 * small, 1e-3)
@@ -247,8 +242,3 @@ class TestReport:
         assert "SCC 4: x1 x2 NON-TOP" in lines
         assert "SCC 7: x3 x4 NON-TOP" in lines
         assert sum(line.endswith("NON-TOP") for line in lines) == 2
-
-    def test_custom_names(self):
-        cond = condense(state_digraph(identity_pattern(2)))
-        report = condensation_report(cond, names=["a", "b"])
-        assert report == "SCC 1: a NON-TOP\nSCC 2: b NON-TOP\n"

@@ -34,7 +34,6 @@ class TestSelectionResult:
     def test_report_feasible(self):
         r = SelectionResult((1,), True, "exact", 1)
         assert r.report() == "FEASIBLE 1: 2 [exact]"
-        assert r.report(index_base=0) == "FEASIBLE 1: 1 [exact]"
 
     def test_report_infeasible(self):
         assert SelectionResult((), False, "greedy", None).report() == "INFEASIBLE"
