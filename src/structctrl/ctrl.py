@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import _input_columns, input_coverage
+from .graph import _coverage, _input_columns
 from .matching import _match_rows
 from .structmat import ProblemInstance, StructMatrix, _star_columns
 
@@ -45,7 +45,7 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     """
     columns = _input_columns(inst, j_set)
     cond = inst.a.condensation
-    if input_coverage(cond, inst, columns) != cond.non_top_linked:
+    if _coverage(cond, inst, columns) != cond.non_top_linked:
         return False
     if inst.a.perfectly_matchable:  # a perfect matching of A saturates every row of [A  B(J)]
         return True

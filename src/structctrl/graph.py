@@ -94,9 +94,14 @@ def _input_columns(inst: ProblemInstance, j_set) -> list[int]:
 
 def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
     """Non-top-linked SCCs holding a state actuated by some input in j_set."""
+    return _coverage(cond, inst, _input_columns(inst, j_set))
+
+
+def _coverage(cond: Condensation, inst: ProblemInstance, columns: list[int]) -> frozenset[int]:
+    """``input_coverage`` of input columns that ``_input_columns`` has already checked."""
     indptr, rows = inst.b.csc
     chosen = np.zeros(inst.p, dtype=bool)
-    chosen[_input_columns(inst, j_set)] = True
+    chosen[columns] = True
     actuated = cond.scc_id[rows[np.repeat(chosen, indptr[1:] - indptr[:-1])]]
     return cond.non_top_linked.intersection(actuated.tolist())
 

@@ -26,16 +26,20 @@ import numpy as np
 from .structmat import ParseError, ProblemInstance, StructMatrix, identity_pattern
 from .structmat import _column_indices, _integer_pair, _integers, _is_integer
 
+_FAILED_CAP = 1 << 16  # a component's table of failed subproblems is emptied at this size
+_SLACK = 1e-9  # how far a dual sum must pass a budget to cut: far above its float rounding
+
 
 class UncoverableError(ValueError):
     """The family's union misses part of the universe."""
 
 
-def _columns(m: StructMatrix) -> list[list[int]]:
-    """The rows of each column of a pattern, ascending, as Python lists."""
+def _columns(m: StructMatrix) -> dict[int, list[int]]:
+    """The rows of each non-empty column of a pattern, ascending, as Python lists keyed by column."""
     indptr, rows = m.csc
-    bounds, values = indptr.tolist(), rows.tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    full = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts, ends, values = indptr[full].tolist(), indptr[full + 1].tolist(), rows.tolist()
+    return {j: values[lo:hi] for j, lo, hi in zip(full.tolist(), starts, ends)}
 
 
 def _incidence(universe_size: int, sets) -> StructMatrix:
@@ -88,13 +92,14 @@ class SetCoverInstance:
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
         """Each set's elements, built from ``incidence`` on first use."""
-        return tuple(map(frozenset, _columns(self.incidence)))
+        columns = _columns(self.incidence)
+        return tuple(frozenset(columns.get(j, ())) for j in range(self.incidence.cols))
 
 
 def is_cover(inst: SetCoverInstance, chosen) -> bool:
     picked = _column_indices(inst.incidence, chosen, "set")
     sets = _columns(inst.incidence)
-    return len(set().union(*(sets[j] for j in picked))) == inst.universe_size
+    return len(set().union(*(sets.get(j, ()) for j in picked))) == inst.universe_size
 
 
 def greedy_cover(inst: SetCoverInstance) -> tuple[int, ...]:
@@ -108,10 +113,10 @@ def greedy_cover(inst: SetCoverInstance) -> tuple[int, ...]:
     return _greedy(_columns(inst.incidence), inst.universe_size)
 
 
-def _greedy(sets: list[list[int]], universe_size: int) -> tuple[int, ...]:
-    """``greedy_cover`` of the family whose set j holds the elements ``sets[j]``."""
+def _greedy(sets: dict[int, list[int]], universe_size: int) -> tuple[int, ...]:
+    """``greedy_cover`` of the family whose non-empty set j holds the elements ``sets[j]``."""
     uncovered = set(range(universe_size))
-    heap = [(-len(s), j) for j, s in enumerate(sets) if s]
+    heap = [(-len(s), j) for j, s in sets.items()]
     heapq.heapify(heap)
     picked: list[int] = []
     while uncovered:
@@ -125,8 +130,8 @@ def _greedy(sets: list[list[int]], universe_size: int) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def _components(sets: list[list[int]], universe_size: int) -> list[list[int]]:
-    """The non-empty sets grouped into connected components, each ascending.
+def _components(sets: dict[int, list[int]], universe_size: int) -> list[list[int]]:
+    """The non-empty sets j, holding ``sets[j]``, grouped into connected components, each ascending.
 
     Two sets are connected when a chain of sets, each sharing an element
     with the next, joins them.  The groups come from union-find over the
@@ -140,14 +145,13 @@ def _components(sets: list[list[int]], universe_size: int) -> list[list[int]]:
             e = root[e]
         return e
 
-    nonempty = [j for j, s in enumerate(sets) if s]
-    for j in nonempty:
-        top = find(sets[j][0])
-        for e in sets[j][1:]:
+    for s in sets.values():
+        top = find(s[0])
+        for e in s[1:]:
             root[find(e)] = top
     groups: dict[int, list[int]] = {}
-    for j in nonempty:
-        groups.setdefault(find(sets[j][0]), []).append(j)
+    for j, s in sets.items():
+        groups.setdefault(find(s[0]), []).append(j)
     return list(groups.values())
 
 
@@ -188,30 +192,50 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
     popcount.  The search returns the first leaf within budget
     in depth-first order, and a sound bound cuts only subtrees that hold
     no such leaf, so tightening the bound never changes the witness.
+
+    ``failed`` maps an uncovered mask to the largest budget known not to
+    cover it.  One table serves every search of the component: ``first``
+    never decreases (0 in the size proof, then j + 1 for j ascending), so
+    each pool is a subset of every earlier one.  It is emptied when it
+    holds ``_FAILED_CAP`` masks, so a long search keeps bounded memory.
     """
     masks = [sum(1 << e for e in s) for s in sets]
     holders: list[list[int]] = [[] for _ in range(universe_size)]
     for j, s in enumerate(sets):
         for e in s:
             holders[e].append(j)
+    failed: dict[int, int] = {}
 
     def completion(uncovered: int, first: int, budget: int) -> tuple[int, ...] | None:
         """At most ``budget`` sets, none below ``first``, that cover ``uncovered``; or None.
 
         Depth first on its own stack, so depth is not bounded by the
         recursion limit.  It branches on the lowest uncovered element,
-        larger gains first, and cuts a node whose remaining budget of r
-        sets cannot finish even with the r largest gains in the pool.
-        ``budget`` is never negative, so neither is r.
+        larger gains first.  A node with a budget of r sets left is cut,
+        cheapest test first, when ``failed`` refutes it, when the r
+        largest gains in the pool cannot cover what is left, or when
+        ``_dual_bound`` exceeds r.  Under the children of each node the
+        bounds leave, or in their place when they cut it, goes a marker
+        that enters the node in ``failed`` when it pops: no child has
+        returned.  ``budget`` is never negative, so neither is r.
         """
         pool = masks[first:]
-        pending = [(uncovered, ())]
+        pending: list = [(uncovered, ())]
         while pending:
             left, path = pending.pop()
+            if left < 0:  # the marker of node -left, path its budget: no child returned
+                if len(failed) >= _FAILED_CAP:  # start afresh: what is near the search counts most
+                    failed.clear()
+                failed[-left] = path
+                continue
             if not left:
                 return path
+            r = budget - len(path)
+            if failed.get(left, -1) >= r:
+                continue
             gains = [(m & left).bit_count() for m in pool]
-            if sum(sorted(gains, reverse=True)[: budget - len(path)]) < left.bit_count():
+            pending.append((-left, r))
+            if sum(sorted(gains, reverse=True)[:r]) < left.bit_count() or _dual_bound(left, gains, pool) > r + _SLACK:
                 continue
             near = holders[(left & -left).bit_length() - 1]
             candidates = sorted((j for j in near if j >= first), key=lambda j: (gains[j - first], -j))
@@ -219,7 +243,7 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
         return None
 
     universe = (1 << universe_size) - 1
-    best = _greedy(sets, universe_size)
+    best = _greedy(dict(enumerate(sets)), universe_size)
     while (smaller := completion(universe, 0, len(best) - 1)) is not None:
         best = smaller
     k, incumbent = len(best), set(best)
@@ -238,6 +262,24 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
         chosen.append(j)
         uncovered &= ~m
     return tuple(chosen)
+
+
+def _dual_bound(left: int, gains: list[int], pool: list[int]) -> float:
+    """A lower bound on the number of sets in ``pool`` that cover ``left``; inf when none do.
+
+    Set i is the mask ``pool[i]``, with gain ``gains[i]`` on ``left``.  Each
+    element weighs 1/g, g the largest gain among its holders, so no set
+    holds more than 1: a feasible covering LP dual, whose sum bounds any cover.
+    """
+    total = 0.0
+    for i in sorted(range(len(pool)), key=gains.__getitem__, reverse=True):
+        hit = pool[i] & left
+        if hit:
+            total += hit.bit_count() / gains[i]
+            left ^= hit
+            if not left:
+                break
+    return float("inf") if left else total
 
 
 def setcover_to_mincis(inst: SetCoverInstance) -> ProblemInstance:
@@ -281,5 +323,6 @@ def parse_set_cover(text: str) -> SetCoverInstance:
 
 def serialize_set_cover(inst: SetCoverInstance) -> str:
     lines = [f"{inst.universe_size} {inst.incidence.cols}"]
-    lines.extend(" ".join(map(str, s)) for s in _columns(inst.incidence))
+    columns = _columns(inst.incidence)
+    lines.extend(" ".join(map(str, columns.get(j, ()))) for j in range(inst.incidence.cols))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from structctrl import ctrl
+from structctrl import ctrl, graph
 from structctrl.cli import main
 from structctrl.ctrl import (
     _probe_bytes,
@@ -84,6 +84,15 @@ class TestGeneralTest:
                 input_coverage(inst.a.condensation, inst, selection)
             with pytest.raises(IndexError, match=message):
                 numeric_probe(inst, selection)
+
+    def test_selection_checked_once(self, monkeypatch):
+        # the coverage step reuses the checked columns, so a one-shot iterator works too
+        calls = []
+        check = graph._column_indices
+        monkeypatch.setattr(graph, "_column_indices", lambda *args: calls.append(args) or check(*args))
+        inst = ProblemInstance(identity_pattern(3), identity_pattern(3))
+        assert is_structurally_controllable(inst, iter(range(3)))
+        assert len(calls) == 1
 
     def test_duplicate_indices_collapse(self):
         inst = pair(1, [], 1, [(0, 0)])

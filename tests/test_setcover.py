@@ -16,6 +16,7 @@ from structctrl.mincis import mincis_reduce
 from structctrl.setcover import (
     SetCoverInstance,
     UncoverableError,
+    _dual_bound,
     exact_min_cover,
     greedy_cover,
     is_cover,
@@ -23,7 +24,7 @@ from structctrl.setcover import (
     serialize_set_cover,
     setcover_to_mincis,
 )
-from structctrl.structmat import ParseError, StructMatrix
+from structctrl.structmat import ParseError, ProblemInstance, StructMatrix
 
 from oracles import (
     exact_min_cover_by_frozensets,
@@ -31,6 +32,7 @@ from oracles import (
     first_min_cover,
     greedy_cover_by_rescan,
     harmonic,
+    min_cover_size,
 )
 from strategies import cover_instances
 
@@ -47,6 +49,17 @@ def random_family(m: int, degree: int, seed: int) -> SetCoverInstance:
         for j in rng.choice(2 * m, size=degree, replace=False).tolist():
             sets[j].add(e)
     return family(m, *sets)
+
+
+def highs_min_cover_size(inst: SetCoverInstance) -> int:
+    """The optimum of the covering MILP, solved by HiGHS."""
+    incidence = np.zeros((inst.universe_size, len(inst.sets)))
+    for j, s in enumerate(inst.sets):
+        incidence[sorted(s), j] = 1.0
+    ones = np.ones(len(inst.sets))
+    optimum = milp(ones, constraints=LinearConstraint(incidence, lb=1.0), integrality=ones, bounds=Bounds(0, 1))
+    assert optimum.success
+    return round(optimum.fun)
 
 
 class TestInstance:
@@ -255,13 +268,46 @@ class TestExact:
     @pytest.mark.parametrize("seed", range(3))
     def test_optimum_matches_highs(self, seed):
         inst = random_family(32, 6, seed)
-        incidence = np.zeros((inst.universe_size, len(inst.sets)))
-        for j, s in enumerate(inst.sets):
-            incidence[sorted(s), j] = 1.0
-        ones = np.ones(len(inst.sets))
-        optimum = milp(ones, constraints=LinearConstraint(incidence, lb=1.0), integrality=ones, bounds=Bounds(0, 1))
-        assert optimum.success
-        assert len(exact_min_cover(inst)) == round(optimum.fun)
+        assert len(exact_min_cover(inst)) == highs_min_cover_size(inst)
+
+    def test_overlap_family_matches_highs(self):
+        # n = 8000 states: the full diagonal plus 3n random stars, and each
+        # state on 2 random inputs of n / 10; its cover is 402 elements by
+        # 800 sets, one component of 101 sets.  The search without the dual
+        # bound and the table of failures took 153 s on a 2-core host, with them 0.7 s.
+        n, p = 8000, 800
+        rng = np.random.default_rng(1)
+        rows, cols = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+        states = np.arange(n)
+        a = StructMatrix(n, n, np.column_stack((np.concatenate([rows, states]), np.concatenate([cols, states]))))
+        b = StructMatrix(n, p, np.column_stack((np.repeat(states, 2), rng.integers(0, p, 2 * n))))
+        inst = mincis_reduce(ProblemInstance(a, b))
+        chosen = exact_min_cover(inst)
+        assert is_cover(inst, chosen)
+        assert len(chosen) == highs_min_cover_size(inst)
+
+    def test_refuted_pins_in_a_row(self):
+        # pinning refutes sets 1, 2, 3, 6, 7 and 9 one after another, then 12,
+        # and the later refutations meet subproblems that earlier ones failed
+        inst = family(7, {0, 1}, {0, 2, 4, 6}, {1, 5}, {2}, set(), set(), {3}, {3}, set(), {1, 5}, {2, 3, 4}, {4},
+                      {0, 6}, {5, 6})
+        assert exact_min_cover(inst) == exact_min_cover_by_frozensets(inst) == (0, 10, 13)
+
+    @given(cover_instances(), st.data())
+    def test_dual_bound_never_exceeds_the_optimum(self, inst, data):
+        # over the sets from ``first`` on, covering ``left`` takes at least the bound
+        first = data.draw(st.integers(0, len(inst.sets)))
+        left = data.draw(st.frozensets(st.integers(0, inst.universe_size - 1)))
+        place = {e: i for i, e in enumerate(sorted(left))}
+        pool = inst.sets[first:]
+        optimum = min_cover_size(len(place), [frozenset(place[e] for e in s if e in place) for s in pool])
+        masks = [sum(1 << e for e in s) for s in pool]
+        target = sum(1 << e for e in left)
+        bound = _dual_bound(target, [(m & target).bit_count() for m in masks], masks)
+        if optimum is None:
+            assert bound == float("inf")
+        else:
+            assert bound <= optimum + 1e-9
 
     @given(cover_instances())
     def test_greedy_within_harmonic_factor(self, inst):
