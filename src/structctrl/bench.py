@@ -28,6 +28,14 @@ def best_time(fn) -> float:
     return min(timeit.repeat(fn, number=1, repeat=_REPEATS))
 
 
+def _checked_sizes(sizes) -> list[int]:
+    """The sizes as a list, refused before any of them is timed."""
+    sizes = list(sizes)
+    if any(n < 1 for n in sizes):
+        raise ValueError("sizes must be at least 1")
+    return sizes
+
+
 def _sparse_square(n: int, mean_degree: float, seed: int):
     density = min(1.0, mean_degree / n)
     return random_struct_matrix(n, n, density, random.Random(seed))
@@ -35,7 +43,7 @@ def _sparse_square(n: int, mean_degree: float, seed: int):
 
 def dedicated_selection_times(sizes, seed: int = 0) -> list[tuple[int, float]]:
     samples = []
-    for n in sizes:
+    for n in _checked_sizes(sizes):
         a = _sparse_square(n, 3.0, seed + n)
         # a fresh copy per run, made untimed: a pattern caches its condensation
         copies = iter([copy.copy(a) for _ in range(_REPEATS)])
@@ -45,7 +53,7 @@ def dedicated_selection_times(sizes, seed: int = 0) -> list[tuple[int, float]]:
 
 def condense_times(sizes, seed: int = 0) -> list[tuple[int, float]]:
     samples = []
-    for n in sizes:
+    for n in _checked_sizes(sizes):
         g = state_digraph(_sparse_square(n, 4.0, seed + n))
         samples.append((n, best_time(lambda: condense(g))))
     return samples

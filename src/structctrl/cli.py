@@ -6,7 +6,9 @@ format read or written stays 0-based.
 Exit codes: 0 success (feasible, controllable, probe agreement), 1 a
 negative verdict (infeasible, not controllable, probe disagreement),
 2 unreadable or malformed input, 3 the requested method needs a
-perfectly matchable state pattern and the instance has none.
+perfectly matchable state pattern and the instance has none.  Commands
+raise, and ``main`` alone maps the library's exception types to these
+codes through ``_FAILURES``.
 """
 
 from __future__ import annotations
@@ -28,18 +30,21 @@ from .mincis import (
     solve_mincis,
 )
 from .setcover import parse_set_cover, serialize_set_cover, setcover_to_mincis
-from .structmat import (
-    ParseError,
-    ProblemInstance,
-    parse_instance_blocks,
-    serialize_instance,
-    transpose,
-)
+from .structmat import ProblemInstance, parse_instance_blocks, serialize_instance, transpose
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+
+_REPORTED = (OSError, ValueError, IndexError)  # any other exception is a bug and keeps its traceback
+# Each failure's exit code and the hint after its message.  The first row
+# whose type matches wins, so the ValueError subclasses come first.
+_FAILURES = (
+    (PerfectMatchingRequired, EXIT_PRECONDITION, "; 'solve --mode brute' needs no perfect matching"),
+    (InfeasibleInstance, EXIT_NEGATIVE, ""),
+    (_REPORTED, EXIT_INPUT, ""),
+)
 
 _FORMAT_NOTES = """\
 instance files hold two 0-based pattern blocks (state pattern, then
@@ -78,31 +83,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.mode == "brute":
         result = brute_force_mincis(inst, cap=args.brute_cap)
     else:
-        try:
-            result = solve_mincis(inst, mode=args.mode)
-        except PerfectMatchingRequired as exc:
-            print(f"error: {exc}; rerun with --mode brute", file=sys.stderr)
-            return EXIT_PRECONDITION
+        result = solve_mincis(inst, mode=args.mode)
     print(result.report())
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.file, args.dual)
-    try:
-        cover = mincis_reduce(inst)
-    except InfeasibleInstance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    sys.stdout.write(serialize_set_cover(cover))
+    sys.stdout.write(serialize_set_cover(mincis_reduce(_load_instance(args.file, args.dual))))
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.from_setcover is not None:
         if args.assumption1:
-            print("error: --assumption1 only applies to --random", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("--assumption1 only applies to --random")
         cover = parse_set_cover(Path(args.from_setcover).read_text())
         inst = setcover_to_mincis(cover)
     else:
@@ -111,8 +105,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             n, p = int(raw_n), int(raw_p)
             density, seed = float(raw_density), int(raw_seed)
         except ValueError:
-            print("error: --random takes N P DENSITY SEED", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("--random takes N P DENSITY SEED") from None
         inst = random_instance(n, p, density, seed, full_diagonal=args.assumption1)
     sys.stdout.write(serialize_instance(inst))
     return EXIT_OK
@@ -144,14 +137,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(token) for token in args.sizes.split(",") if token.strip()]
     except ValueError:
-        print("error: --sizes takes a comma-separated list of integers", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--sizes takes a comma-separated list of integers") from None
     if len(set(sizes)) < 2:
-        print("error: need at least two sizes, not all equal", file=sys.stderr)
-        return EXIT_INPUT
-    if min(sizes) < 1:
-        print("error: sizes must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("need at least two sizes, not all equal")
     timer = dedicated_selection_times if args.target == "dedicated" else condense_times
     samples = timer(sizes, seed=args.seed)
     for n, seconds in samples:
@@ -242,15 +230,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PerfectMatchingRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except _REPORTED as exc:
+        code, hint = next((code, hint) for kind, code, hint in _FAILURES if isinstance(exc, kind))
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

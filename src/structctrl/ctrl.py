@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import _coverage, _input_columns
+from .graph import _coverage
 from .matching import _match_rows
-from .structmat import ProblemInstance, StructMatrix, _star_columns
+from .structmat import ProblemInstance, StructMatrix, _column_indices, _star_columns
 
 _MASK64 = (1 << 64) - 1
 _PROBE_BYTES = 1 << 30  # the most memory a probe may plan to hold at once
@@ -43,7 +43,7 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     non-top-linked SCC holds an actuated state, since each SCC is
     reachable from some non-top-linked one.
     """
-    columns = _input_columns(inst, j_set)
+    columns = _column_indices(inst.b, j_set, "input")
     cond = inst.a.condensation
     if _coverage(cond, inst, columns) != cond.non_top_linked:
         return False
@@ -102,7 +102,7 @@ def numeric_probe(
         raise ValueError("at least one trial required")
     if not 0 < tol < 1:  # also refuses nan
         raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tol:g}")
-    columns = _input_columns(inst, j_set)
+    columns = _column_indices(inst.b, j_set, "input")
     if not columns:
         return False
     n, width = inst.n, len(columns)

@@ -87,18 +87,13 @@ def condense(g: csr_matrix) -> Condensation:
     return Condensation(labels, count, edges, sources)
 
 
-def _input_columns(inst: ProblemInstance, j_set) -> list[int]:
-    """The distinct input columns of j_set, ascending; IndexError unless each is an integer in range."""
-    return _column_indices(inst.b, j_set, "input")
-
-
 def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
     """Non-top-linked SCCs holding a state actuated by some input in j_set."""
-    return _coverage(cond, inst, _input_columns(inst, j_set))
+    return _coverage(cond, inst, _column_indices(inst.b, j_set, "input"))
 
 
 def _coverage(cond: Condensation, inst: ProblemInstance, columns: list[int]) -> frozenset[int]:
-    """``input_coverage`` of input columns that ``_input_columns`` has already checked."""
+    """``input_coverage`` of input columns that ``_column_indices`` has already checked."""
     indptr, rows = inst.b.csc
     chosen = np.zeros(inst.p, dtype=bool)
     chosen[columns] = True

@@ -191,7 +191,7 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
     with bit e set when e is in the set, so a gain is one ``&`` and one
     popcount.  The search returns the first leaf within budget
     in depth-first order, and a sound bound cuts only subtrees that hold
-    no such leaf, so tightening the bound never changes the witness.
+    no such leaf, so adding or dropping a bound never changes the witness.
 
     ``failed`` maps an uncovered mask to the largest budget known not to
     cover it.  One table serves every search of the component: ``first``
@@ -212,9 +212,11 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
         Depth first on its own stack, so depth is not bounded by the
         recursion limit.  It branches on the lowest uncovered element,
         larger gains first.  A node with a budget of r sets left is cut,
-        cheapest test first, when ``failed`` refutes it, when the r
-        largest gains in the pool cannot cover what is left, or when
-        ``_dual_bound`` exceeds r.  Under the children of each node the
+        cheaper test first, when ``failed`` refutes it or when
+        ``_dual_bound`` exceeds r.  The bound also cuts every node whose
+        r largest gains cannot cover what is left: each set carries at
+        most its gain of the dual's mass, so the sum then passes r by at
+        least 1/(largest gain).  Under the children of each node the
         bounds leave, or in their place when they cut it, goes a marker
         that enters the node in ``failed`` when it pops: no child has
         returned.  ``budget`` is never negative, so neither is r.
@@ -235,7 +237,7 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
                 continue
             gains = [(m & left).bit_count() for m in pool]
             pending.append((-left, r))
-            if sum(sorted(gains, reverse=True)[:r]) < left.bit_count() or _dual_bound(left, gains, pool) > r + _SLACK:
+            if _dual_bound(left, gains, pool) > r + _SLACK:
                 continue
             near = holders[(left & -left).bit_length() - 1]
             candidates = sorted((j for j in near if j >= first), key=lambda j: (gains[j - first], -j))

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import structctrl
-from structctrl import cli, graph, matching
-from structctrl.bench import dedicated_selection_times, loglog_slope
+from structctrl import bench, cli, graph, matching
+from structctrl.bench import condense_times, dedicated_selection_times, loglog_slope
 from structctrl.ctrl import is_structurally_controllable
 from structctrl.cli import main
 from structctrl.demo import two_community_network
@@ -95,6 +95,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "out of range line 2" in capsys.readouterr().err
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError that is not a ParseError
+        path = tmp_path / "latin1.instance"
+        path.write_bytes("1 1\n0 0\n---\n1 1\n0 0\n\xe9\n".encode("latin-1"))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestSolve:
     def test_exact(self, demo_file, capsys):
@@ -160,7 +168,9 @@ class TestReduce:
 
     def test_needs_matching(self, unmatchable_file, capsys):
         assert main(["reduce", unmatchable_file]) == 3
-        assert "reduction precondition" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reduction precondition" in err
+        assert "solve --mode brute" in err
 
     def test_infeasible(self, stranded_file, capsys):
         assert main(["reduce", stranded_file]) == 1
@@ -201,6 +211,12 @@ class TestGen:
         path.write_text("1 1\n0\n")
         assert main(["gen", "--from-setcover", str(path), "--assumption1"]) == 2
         assert "--assumption1" in capsys.readouterr().err
+
+    def test_uncoverable_family(self, tmp_path, capsys):
+        path = tmp_path / "family.setcover"
+        path.write_text("2 1\n0\n")
+        assert main(["gen", "--from-setcover", str(path)]) == 2
+        assert "uncoverable" in capsys.readouterr().err
 
 
 class TestProbe:
@@ -249,10 +265,21 @@ class TestBench:
     def test_rejects_sizes_below_one(self, capsys):
         assert main(["bench", "--target", "condense", "--sizes", "0,10"]) == 2
         assert "at least 1" in capsys.readouterr().err
+        # a bad size anywhere in the list is refused before any size is timed
+        assert main(["bench", "--sizes", "30,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
 
     def test_needs_two_different_sizes(self, capsys):
         assert main(["bench", "--target", "condense", "--sizes", "100,100"]) == 2
         assert "not all equal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timer", [dedicated_selection_times, condense_times])
+    @pytest.mark.parametrize("sizes", [[0, 10], [-3, 10], [10, 0]])
+    def test_timers_refuse_sizes_below_one(self, timer, sizes, monkeypatch):
+        monkeypatch.setattr(bench, "best_time", lambda fn: pytest.fail("timed before refusing"))
+        with pytest.raises(ValueError, match="sizes must be at least 1"):
+            timer(sizes)
 
     def test_slope_needs_two_different_sizes(self):
         with pytest.raises(ValueError, match="different sizes"):

@@ -86,10 +86,12 @@ class TestGeneralTest:
                 numeric_probe(inst, selection)
 
     def test_selection_checked_once(self, monkeypatch):
-        # the coverage step reuses the checked columns, so a one-shot iterator works too
+        # the coverage step reuses the checked columns, so a one-shot iterator works too;
+        # both modules that hold the check are counted, so a second check in either shows
         calls = []
-        check = graph._column_indices
-        monkeypatch.setattr(graph, "_column_indices", lambda *args: calls.append(args) or check(*args))
+        check = ctrl._column_indices
+        for module in (ctrl, graph):
+            monkeypatch.setattr(module, "_column_indices", lambda *args: calls.append(args) or check(*args))
         inst = ProblemInstance(identity_pattern(3), identity_pattern(3))
         assert is_structurally_controllable(inst, iter(range(3)))
         assert len(calls) == 1

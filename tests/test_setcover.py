@@ -16,6 +16,7 @@ from structctrl.mincis import mincis_reduce
 from structctrl.setcover import (
     SetCoverInstance,
     UncoverableError,
+    _SLACK,
     _dual_bound,
     exact_min_cover,
     greedy_cover,
@@ -303,11 +304,17 @@ class TestExact:
         optimum = min_cover_size(len(place), [frozenset(place[e] for e in s if e in place) for s in pool])
         masks = [sum(1 << e for e in s) for s in pool]
         target = sum(1 << e for e in left)
-        bound = _dual_bound(target, [(m & target).bit_count() for m in masks], masks)
+        gains = [(m & target).bit_count() for m in masks]
+        bound = _dual_bound(target, gains, masks)
         if optimum is None:
             assert bound == float("inf")
         else:
             assert bound <= optimum + 1e-9
+        # it cuts every budget r that the r largest gains cannot fill
+        ranked = sorted(gains, reverse=True)
+        for r in range(len(masks) + 1):
+            if sum(ranked[:r]) < len(left):
+                assert bound > r + _SLACK
 
     @given(cover_instances())
     def test_greedy_within_harmonic_factor(self, inst):
