@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import signal
 import sys
 from pathlib import Path
 
@@ -237,6 +238,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout pipe ends the process quietly, like cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -44,8 +44,7 @@ def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
     reachable from some non-top-linked one.
     """
     columns = _column_indices(inst.b, j_set, "input")
-    cond = inst.a.condensation
-    if _coverage(cond, inst, columns) != cond.non_top_linked:
+    if _coverage(inst, columns) != inst.a.condensation.non_top_linked:
         return False
     if inst.a.perfectly_matchable:  # a perfect matching of A saturates every row of [A  B(J)]
         return True

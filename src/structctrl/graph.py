@@ -22,35 +22,21 @@ from .structmat import ProblemInstance, StructMatrix, _column_indices
 
 @dataclass(frozen=True, eq=False)
 class Condensation:
-    """SCC partition of a state digraph plus its acyclic quotient.
-
-    Read-only intp arrays: the SCC of each state, one (tail, head) row per
-    quotient edge, and the SCCs with no incoming quotient edge, ascending.
-    Indices are reverse topological: quotient edges go from high to low.
-    """
+    """Read-only intp arrays: each state's SCC, and the SCCs no other SCC's edge enters, ascending."""
 
     scc_id: np.ndarray
     scc_count: int
-    dag_edges: np.ndarray
     sources: np.ndarray
 
     def __post_init__(self) -> None:
-        """Freeze the arrays and check order and sources; ``perfbench/tracing.py`` wraps it."""
-        for name, shape in (("scc_id", -1), ("dag_edges", (-1, 2)), ("sources", -1)):
-            array = np.array(getattr(self, name), dtype=np.intp).reshape(shape)
+        """Freeze the arrays; ``perfbench/tracing.py`` wraps it."""
+        for name in ("scc_id", "sources"):
+            array = np.array(getattr(self, name), dtype=np.intp).reshape(-1)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        tails, heads = self.dag_edges.T
-        if (tails == heads).any():
-            raise ValueError("quotient edges never join an SCC to itself")
-        if (tails < heads).any():
-            raise ValueError("SCC indices must be reverse topological")
-        entered = np.bincount(heads, minlength=self.scc_count)[: self.scc_count]
-        if not np.array_equal(self.sources, np.flatnonzero(entered == 0)):
-            raise ValueError("non_top_linked inconsistent with quotient edges")
 
     def __reduce__(self):  # copies and unpickled objects stay read-only
-        return Condensation, (self.scc_id, self.scc_count, self.dag_edges, self.sources)
+        return Condensation, (self.scc_id, self.scc_count, self.sources)
 
     @cached_property
     def non_top_linked(self) -> frozenset[int]:
@@ -72,28 +58,22 @@ def state_digraph(a: StructMatrix) -> csr_matrix:
 
 
 def condense(g: csr_matrix) -> Condensation:
-    """SCC decomposition of a state digraph, O(V + E).
-
-    scipy numbers an SCC only after every SCC it reaches, so its labels
-    are already reverse topological; ``Condensation`` checks that.
-    """
+    """SCC decomposition of a state digraph and its source SCCs, ascending, O(V + E)."""
     count, labels = connected_components(g, directed=True, connection="strong")
-    tails = np.repeat(labels.astype(np.intp), np.diff(g.indptr))  # keys reach count**2
+    tails = np.repeat(labels, np.diff(g.indptr))
     heads = labels[g.indices]
-    keys = np.sort((tails * count + heads)[tails != heads])
-    keys = np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]))  # each quotient edge once
-    edges = np.column_stack((keys // count, keys % count))
-    sources = np.flatnonzero(np.bincount(edges[:, 1], minlength=count) == 0)
-    return Condensation(labels, count, edges, sources)
+    sources = np.flatnonzero(np.bincount(heads[tails != heads], minlength=count) == 0)
+    return Condensation(labels, count, sources)
 
 
-def input_coverage(cond: Condensation, inst: ProblemInstance, j_set) -> frozenset[int]:
+def input_coverage(inst: ProblemInstance, j_set) -> frozenset[int]:
     """Non-top-linked SCCs holding a state actuated by some input in j_set."""
-    return _coverage(cond, inst, _column_indices(inst.b, j_set, "input"))
+    return _coverage(inst, _column_indices(inst.b, j_set, "input"))
 
 
-def _coverage(cond: Condensation, inst: ProblemInstance, columns: list[int]) -> frozenset[int]:
+def _coverage(inst: ProblemInstance, columns: list[int]) -> frozenset[int]:
     """``input_coverage`` of input columns that ``_column_indices`` has already checked."""
+    cond = inst.a.condensation
     indptr, rows = inst.b.csc
     chosen = np.zeros(inst.p, dtype=bool)
     chosen[columns] = True

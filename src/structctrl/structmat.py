@@ -415,8 +415,8 @@ def parse_instance(text: str) -> ProblemInstance:
 
 
 def serialize_instance(inst: ProblemInstance) -> str:
-    """Render an instance file. The label, if any, becomes a leading comment."""
-    head = f"# {inst.label}\n" if inst.label else ""
+    """Render an instance file. The label, if any, becomes leading comments, one per line."""
+    head = "".join(f"# {line}\n" for line in (inst.label or "").splitlines())
     return (
         head
         + serialize_struct_matrix(inst.a)

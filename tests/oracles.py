@@ -366,17 +366,14 @@ def exact_min_cover_by_frozensets(inst) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset, frozenset[int]]:
-    """SCC labels, SCC count, quotient edge set and source set of a CSR
-    state digraph, as tuples and frozensets."""
+def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset[int]]:
+    """SCC labels, SCC count and source set of a CSR state digraph, as a
+    tuple and a frozenset."""
     count, labels = connected_components(g, directed=True, connection="strong")
     tails = np.repeat(labels, np.diff(g.indptr))
     heads = labels[g.indices]
-    cross = tails != heads
-    entered = heads[cross].tolist()
-    dag_edges = frozenset(zip(tails[cross].tolist(), entered))
-    non_top = frozenset(range(count)).difference(entered)
-    return tuple(labels.tolist()), count, dag_edges, non_top
+    non_top = frozenset(range(count)).difference(heads[tails != heads].tolist())
+    return tuple(labels.tolist()), count, non_top
 
 
 def condensation_report_by_vertex(scc_id, count, non_top) -> str:

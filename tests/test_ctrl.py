@@ -81,7 +81,7 @@ class TestGeneralTest:
             with pytest.raises(IndexError, match=message):
                 is_structurally_controllable(inst, selection)
             with pytest.raises(IndexError, match=message):
-                input_coverage(inst.a.condensation, inst, selection)
+                input_coverage(inst, selection)
             with pytest.raises(IndexError, match=message):
                 numeric_probe(inst, selection)
 

@@ -11,7 +11,6 @@ from hypothesis import example, given
 from structctrl.bench import best_time
 from structctrl.demo import two_community_network
 from structctrl.graph import (
-    Condensation,
     condensation_report,
     condense,
     input_coverage,
@@ -90,7 +89,6 @@ class TestCondense:
         cond = condense(state_digraph(identity_pattern(3)))
         assert cond.scc_count == 3
         assert cond.non_top_linked == frozenset({0, 1, 2})
-        assert not len(cond.dag_edges)
 
     def test_one_cycle_is_one_scc(self):
         cond = condense(state_digraph(cycle_pattern(4)))
@@ -105,7 +103,6 @@ class TestCondense:
         top = cond.scc_id[0]
         assert cond.scc_id[1] == top
         assert cond.non_top_linked == frozenset({top})
-        assert set(map(tuple, cond.dag_edges.tolist())) == {(top, cond.scc_id[2])}
 
     def test_six_block_network(self):
         cond = condense(state_digraph(six_block_network()))
@@ -119,22 +116,19 @@ class TestCondense:
         cond = condense(state_digraph(a))
         order, bounds = cond._groups()
         groups = frozenset(frozenset(order[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))
-        assert groups == scc_partition(a.rows, {(c, r) for r, c in a.stars})
-
-    @given(square_matrices(max_n=7))
-    def test_quotient_edges_reverse_topological(self, a):
-        g = state_digraph(a)
-        cond = condense(g)
-        assert all(i > k for i, k in cond.dag_edges)
-        entered = {k for _, k in cond.dag_edges}
-        assert cond.non_top_linked == frozenset(range(cond.scc_count)) - entered
+        edges = {(c, r) for r, c in a.stars}
+        blocks = scc_partition(a.rows, edges)
+        assert groups == blocks
+        # a source is a block that no edge enters from outside it
+        sources = {block for block in blocks if not any(u not in block and v in block for u, v in edges)}
+        assert {frozenset(np.flatnonzero(cond.scc_id == s).tolist()) for s in cond.sources} == sources
 
     @given(square_matrices(max_n=7))
     def test_deterministic(self, a):
         g = state_digraph(a)
         first, second = condense(g), condense(g)
         assert first.scc_count == second.scc_count
-        for name in ("scc_id", "dag_edges", "sources"):
+        for name in ("scc_id", "sources"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     @given(square_matrices(max_n=12))
@@ -146,10 +140,9 @@ class TestCondense:
     def test_matches_the_tuple_condensation(self, a):
         g = state_digraph(a)
         cond = condense(g)
-        scc_id, count, dag_edges, non_top = condense_by_tuples(g)
+        scc_id, count, non_top = condense_by_tuples(g)
         assert cond.scc_id.tolist() == list(scc_id)
         assert cond.scc_count == count
-        assert sorted(map(tuple, cond.dag_edges.tolist())) == sorted(dag_edges)
         assert cond.sources.tolist() == sorted(non_top)
         assert cond.non_top_linked == non_top
         assert condensation_report(cond) == condensation_report_by_vertex(
@@ -163,7 +156,7 @@ class TestCondense:
         n = 2000
         g = state_digraph(StructMatrix(n, n, rng.integers(0, n, (2 * n, 2))))
         cond = condense(g)
-        scc_id, count, _, non_top = condense_by_tuples(g)
+        scc_id, count, non_top = condense_by_tuples(g)
         assert 100 < count < n - 100 and 0 < len(non_top) < count
         assert condensation_report(cond) == condensation_report_by_vertex(scc_id, count, non_top)
 
@@ -181,25 +174,13 @@ class TestCondense:
 
 
 class TestCondensationInvariants:
-    def test_self_quotient_edges_rejected(self):
-        with pytest.raises(ValueError):
-            Condensation((0, 0), 1, ((0, 0),), ())
-
-    def test_forward_labels_rejected(self):
-        with pytest.raises(ValueError, match="reverse topological"):
-            Condensation((0, 1), 2, ((0, 1),), (0,))
-
-    def test_source_set_checked(self):
-        with pytest.raises(ValueError, match="non_top_linked"):
-            Condensation((0, 1), 2, ((1, 0),), (0, 1))
-
     def test_arrays_stay_read_only_in_copies(self):
         cond = condense(state_digraph(six_block_network()))
         copies = (pickle.loads(pickle.dumps(cond)), copy.deepcopy(cond), copy.copy(cond))
         for twin in (cond, *copies):
             assert twin.scc_count == cond.scc_count
             assert twin.non_top_linked == cond.non_top_linked
-            for name in ("scc_id", "dag_edges", "sources"):
+            for name in ("scc_id", "sources"):
                 array = getattr(twin, name)
                 assert np.array_equal(array, getattr(cond, name))
                 assert array.dtype == np.intp and not array.flags.writeable
@@ -208,27 +189,25 @@ class TestCondensationInvariants:
 class TestInputCoverage:
     def test_empty_selection_covers_nothing(self):
         inst = two_community_network()
-        cond = condense(state_digraph(inst.a))
-        assert input_coverage(cond, inst, ()) == frozenset()
+        assert input_coverage(inst, ()) == frozenset()
 
     def test_demo_channel_two_covers_both_communities(self):
         inst = two_community_network()
         cond = condense(state_digraph(inst.a))
-        assert input_coverage(cond, inst, {1}) == cond.non_top_linked
-        assert len(input_coverage(cond, inst, {0})) == 1
-        assert input_coverage(cond, inst, {3}) == frozenset()
+        assert input_coverage(inst, {1}) == cond.non_top_linked
+        assert len(input_coverage(inst, {0})) == 1
+        assert input_coverage(inst, {3}) == frozenset()
 
     def test_out_of_range_selection_rejected(self):
         inst = two_community_network()
-        cond = condense(state_digraph(inst.a))
         with pytest.raises(IndexError, match="out of range"):
-            input_coverage(cond, inst, {4})
+            input_coverage(inst, {4})
 
     @given(instances())
     def test_matches_nested_scan_oracle(self, inst):
         cond = condense(state_digraph(inst.a))
         selected = range(0, inst.p, 2)
-        assert input_coverage(cond, inst, selected) == coverage_by_scan(
+        assert input_coverage(inst, selected) == coverage_by_scan(
             cond, inst, selected
         )
 

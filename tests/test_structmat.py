@@ -323,6 +323,13 @@ class TestInstanceParsing:
         inst = ProblemInstance(identity_pattern(1), StructMatrix(1, 1, frozenset()), label="demo")
         assert serialize_instance(inst).startswith("# demo\n")
 
+    @pytest.mark.parametrize("label", ["two\ncommunities", "a\u2028b", "x\r\ny"])
+    def test_labels_with_line_breaks_round_trip(self, label, walks):
+        inst = ProblemInstance(identity_pattern(3), StructMatrix(3, 2, frozenset({(0, 1), (2, 0)})), label=label)
+        back = parse_instance(serialize_instance(inst))
+        assert back.a == inst.a and back.b == inst.b
+        assert walks == []  # one comment line per label line, so the array path reads it
+
 
 def _instance_lines(seed: int, n: int = 4000) -> list[str]:
     """About 16k lines as ``serialize_instance`` writes them: n states, three
