@@ -30,10 +30,9 @@ import numpy as np
 
 from .graph import _coverage
 from .matching import _match_rows
-from .structmat import ProblemInstance, StructMatrix, _column_indices, _star_columns
+from .structmat import _BUDGET_BYTES, ProblemInstance, StructMatrix, _column_indices, _star_columns
 
 _MASK64 = (1 << 64) - 1
-_PROBE_BYTES = 1 << 30  # the most memory a probe may plan to hold at once
 
 
 def is_structurally_controllable(inst: ProblemInstance, j_set) -> bool:
@@ -93,7 +92,7 @@ def numeric_probe(
     0 and 1 (from 1 up, not even the largest would count).  True as soon
     as one trial reaches full rank.  Trial t uses a generator derived
     from (seed, t), so reruns and partial runs agree.  Raises ValueError,
-    before allocating, when ``_probe_bytes`` exceeds ``_PROBE_BYTES``.
+    before allocating, when ``_probe_bytes`` exceeds ``_BUDGET_BYTES``.
     On ``random_instance(n, 6, 0.05, seed, full_diagonal=True)`` it misses
     none of 30 controllable pairs at n = 60 and 120, but all 30 at n = 200.
     """
@@ -106,10 +105,10 @@ def numeric_probe(
         return False
     n, width = inst.n, len(columns)
     planned = _probe_bytes(inst, width)
-    if planned > _PROBE_BYTES:
+    if planned > _BUDGET_BYTES:
         raise ValueError(
             f"numeric probe of {n} states and {width} inputs needs {planned / 2**30:.1f} GiB, "
-            f"over its budget of {_PROBE_BYTES / 2**30:g} GiB"
+            f"over its budget of {_BUDGET_BYTES / 2**30:g} GiB"
         )
     a_stars, b_stars = _star_mask(inst.a), _star_mask(inst.b)[:, columns]
     for trial in range(trials):

@@ -12,7 +12,8 @@ following significant line is one star position ``R C`` (0-based).
 Lines that are blank or start with ``#`` are skipped.  Duplicate star
 lines are rejected.  Numbers are ASCII decimal integers with an optional
 sign, and dimensions are at most 2**31 - 1, so every index fits the
-int32 arrays of ``StructMatrix.csc``.
+int32 arrays of ``StructMatrix.csc``.  Building them takes 12 bytes a
+column within a budget of 1 GiB, so at most 89,478,485 columns.
 
 Instance file: two pattern blocks separated by a line containing only
 ``---``.  The first block is the square state pattern, the second the
@@ -20,21 +21,20 @@ input pattern (rows = states, columns = inputs).
 
 Parsing
 -------
-A text in the common shape is read by array passes over its UTF-8
-bytes: LF or CRLF line ends, and lines that hold two integers (digits
-with an optional sign, separated by spaces or tabs), blanks only, a
-whole-line ``#`` comment (any characters but line ends), or the ``---``
-separator.  The separator, found by its line, and the comments become
-spaces; one pass checks that only ASCII digits, signs, blanks and line
-ends are left, one checks that every non-blank line holds two tokens of
-at most 18 bytes with signs only before a digit, and one
-``numpy.fromstring`` reads every number.  Each block's array goes to the ``StructMatrix``
-constructor, the one place where stars are range-checked and grouped
-into ``csc``; a duplicate shows as fewer stars than lines.  Any other
-text, and any text with a fault, is walked line by line, which raises
-the ``ParseError`` of the first bad line (malformed, out of range or
-duplicate, numbered from 1 in the whole text) or returns the patterns
-when it finds none.  No ``stars`` set is built.
+One reader serves both formats.  A text with a line end other than LF or
+CRLF is first rejoined with LF, so its lines are those of
+``str.splitlines``.  Array passes over its UTF-8 bytes blank the ``---``
+line and the ``#`` comments, count each line's tokens and mark the odd
+lines: a byte other than an ASCII digit, sign or blank, a token over 18
+bytes, a misplaced sign, a token count other than 0 or 2, or tokens
+before a ``#``.  Odd lines are read one at a time up to the first
+malformed one, and each pair found there is written back as plain
+numbers, so one ``numpy.fromstring`` reads every number.  The
+``StructMatrix`` constructor range-checks each block's stars and groups
+them into ``csc``.  Only when it refuses or merges stars, or a line is
+malformed, is a fault placed: the ``ParseError`` names the first bad
+line (malformed, out of range or duplicate, numbered from 1 in the whole
+text).  No ``stars`` set is built.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ from functools import cached_property
 import numpy as np
 
 _MAX_DIMENSION = int(np.iinfo(np.int32).max)
+_BUDGET_BYTES = 1 << 30  # the most memory a pattern's column arrays, or a probe, may plan to hold
 _ARRAY_BYTES = b"0123456789+- \t\r\n"  # what the array pass reads, comments aside
+_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines also ends a line at these and a lone CR
 
 
 class ParseError(ValueError):
@@ -96,6 +98,11 @@ class StructMatrix:
             raise ValueError(f"dimensions must be nonnegative, got {self.rows}x{self.cols}")
         if max(self.rows, self.cols) > _MAX_DIMENSION:
             raise ValueError(f"dimensions must be at most 2**31 - 1, got {self.rows}x{self.cols}")
+        if 12 * self.cols > _BUDGET_BYTES:  # int32 indptr and int64 counts, before allocating either
+            raise ValueError(
+                f"{self.rows}x{self.cols} pattern needs {12 * self.cols / 2**30:.1f} GiB for its column arrays, "
+                f"over the budget of {_BUDGET_BYTES / 2**30:g} GiB"
+            )
         if not isinstance(stars, np.ndarray):
             stars = list(stars)
         pairs = np.asarray(stars)  # ValueError if ragged
@@ -200,14 +207,6 @@ def identity_pattern(n: int) -> StructMatrix:
     return StructMatrix(n, n, np.column_stack((diagonal, diagonal)))
 
 
-def _significant_lines(lines: list[str], start: int):
-    """Yield (1-based line number, stripped text), skipping blanks and comments."""
-    for offset, raw in enumerate(lines):
-        text = raw.strip()
-        if text and not text.startswith("#"):
-            yield start + offset, text
-
-
 def _integers(text: str) -> list[int] | None:
     """The numbers of a line, or None unless it holds only ASCII decimal integers with optional signs."""
     if not text.isascii() or "_" in text:
@@ -224,52 +223,6 @@ def _integer_pair(text: str) -> tuple[int, int] | None:
     return (numbers[0], numbers[1]) if numbers is not None and len(numbers) == 2 else None
 
 
-def _walk_block(lines: list[str], start: int) -> StructMatrix:
-    """Parse one block a line at a time; ``start`` numbers its first line.
-
-    Raises the ParseError of the first bad line: malformed, out of range
-    or duplicate.
-    """
-    significant = _significant_lines(lines, start)
-    header = next(significant, None)
-    if header is None:
-        raise ParseError("missing header")
-    lineno, text = header
-    dims = _integer_pair(text)
-    if dims is None:
-        raise ParseError(f"malformed header line {lineno}")
-    rows, cols = dims
-    if rows < 0 or cols < 0:
-        raise ParseError(f"negative dimension line {lineno}")
-    if max(rows, cols) > _MAX_DIMENSION:
-        raise ParseError(f"dimension too large line {lineno}")
-    seen: set[tuple[int, int]] = set()
-    for lineno, text in significant:
-        entry = _integer_pair(text)
-        if entry is None:
-            raise ParseError(f"malformed entry line {lineno}")
-        r, c = entry
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ParseError(f"entry out of range line {lineno}")
-        if entry in seen:
-            raise ParseError(f"duplicate entry line {lineno}")
-        seen.add(entry)
-    return StructMatrix(rows, cols, seen)
-
-
-def _walk(text: str, blocks: int) -> list[StructMatrix]:
-    """The ``blocks`` patterns of a text, read a line at a time."""
-    lines = text.splitlines()
-    if blocks == 1:
-        return [_walk_block(lines, 1)]
-    cuts = [i for i, line in enumerate(lines) if line.strip() == "---"]
-    if not cuts:
-        raise ParseError("missing '---' separator between the two pattern blocks")
-    if len(cuts) > 1:
-        raise ParseError(f"unexpected extra separator line {cuts[1] + 1}")
-    return [_walk_block(lines[: cuts[0]], 1), _walk_block(lines[cuts[0] + 1 :], cuts[0] + 2)]
-
-
 def _blank_comments(buf: np.ndarray) -> np.ndarray:
     """Overwrite each line's text from its first ``#`` on with spaces; return those lines' indices."""
     ends = np.flatnonzero(buf == ord("\n"))
@@ -282,108 +235,133 @@ def _blank_comments(buf: np.ndarray) -> np.ndarray:
     return lines
 
 
-def _tokens_per_line(buf: np.ndarray) -> np.ndarray | None:
-    """The token count of each line, or None unless every token is a decimal int64.
+def _tokens_per_line(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The token count of each line, and the byte positions that int64 may not read.
 
-    ``buf`` holds only digits, signs, spaces, tabs, CRs and LFs.  A
-    token is a run of digits and signs: a sign may only open it and be
-    followed by a digit, and it has at most 18 bytes, so int64 holds its
-    number.
+    A token is a run of bytes above space.  A position is flagged when
+    it starts 19 token bytes in a row, or holds a sign that does not
+    open its token or is not followed by a digit.
     """
     mark = buf > ord(" ")  # the token bytes
     run = mark
     for step in (1, 2, 4, 8, 3):  # run[i]: bytes i to i + 1, 3, 7, 15, then 18 are all token bytes
         run = run[:-step] & run[step:]
-    if run.any():
-        return None
+    long = np.flatnonzero(run) if run.any() else np.empty(0, np.intp)
     del run
     mark[1:] &= ~mark[:-1]  # now each token's first byte
     signs = np.flatnonzero((buf == ord("+")) | (buf == ord("-")))
-    if signs.size and (signs[-1] == len(buf) - 1 or not mark[signs].all() or (buf[signs + 1] < ord("0")).any()):
-        return None
+    if signs.size:  # a sign as the last byte is followed by itself, no digit
+        signs = signs[~mark[signs] | (buf[np.minimum(signs + 1, len(buf) - 1)] < ord("0"))]
     mark |= buf == ord("\n")
     events = np.flatnonzero(mark)  # token starts and line ends, in text order
     del mark
     count = np.diff(np.flatnonzero(buf[events] == ord("\n")), prepend=-1, append=len(events))
     count -= 1
-    return count
-
-
-def _pattern(numbers: np.ndarray) -> StructMatrix | None:
-    """One block's pattern from its numbers, header first; None at any fault."""
-    if numbers.size < 2:
-        return None
-    rows, cols = numbers[:2].tolist()
-    pairs = numbers[2:].reshape(-1, 2)
-    try:
-        m = StructMatrix(rows, cols, pairs)
-    except ValueError:  # a dimension or a star out of range
-        return None
-    return m if m.csc[1].size == len(pairs) else None  # else a duplicate star
+    return count, np.concatenate((long, signs))
 
 
 def _separator_lines(data: bytearray) -> list[tuple[int, int]]:
-    """The byte spans of the lines that hold ``---`` between spaces, tabs and a final CR."""
+    """The byte spans of the lines that hold ``---`` between blanks."""
     spans = []
     at = data.find(b"---")
     while at >= 0:
         lo = data.rfind(b"\n", 0, at) + 1
         hi = data.find(b"\n", at)
         hi = len(data) if hi < 0 else hi
-        if data[lo:hi].strip(b" \t\r") == b"---":
+        if data[lo:hi].decode().strip() == "---":
             spans.append((lo, hi))
         at = data.find(b"---", hi)
     return spans
 
 
-def _read_by_arrays(text: str, blocks: int) -> list[StructMatrix] | None:
-    """The ``blocks`` patterns of a text in the common shape, or None.
+def _block(numbers: np.ndarray, count: np.ndarray, start: int, malformed: int | None) -> StructMatrix:
+    """One block's pattern from its numbers, header first.
 
-    The common shape is text with LF or CRLF line ends whose lines each
-    hold two integers, blanks only, a whole-line ``#`` comment or, in an
-    instance, the one ``---`` separator; only comments may hold
-    characters beyond ASCII.  Comments and the separator are overwritten
-    with spaces in the UTF-8 bytes, each remaining check is one array
-    pass over those bytes, and one ``numpy.fromstring`` reads every
-    number.  Any other text, and any fault, gets None.
+    ``count`` holds the token count, 0 or 2, of each line of the block,
+    whose first line has index ``start``; nothing is read from line
+    ``malformed``, the block's first malformed line, on.  Faults are
+    placed only when the constructor refuses the stars or merges a
+    repeat, or a line is malformed; any other ValueError passes unchanged.
     """
-    if not text:
-        return None
-    data = bytearray(text, "utf-8")
-    buf = np.frombuffer(data, np.uint8)  # writable, shares data
-    cr = np.flatnonzero(buf[:-1] == ord("\r"))
-    if (buf[cr + 1] != ord("\n")).any():  # str.splitlines ends a line at a lone CR
-        return None
-    separators = []  # the separator's line index
-    if blocks == 2:
-        spans = _separator_lines(data)
-        if len(spans) != 1:
-            return None
-        lo, hi = spans[0]
-        buf[lo:hi] = ord(" ")
-        separators.append(np.count_nonzero(buf[:lo] == ord("\n")))
-    commented = np.empty(0, np.intp)
-    if "#" in text:
-        if any(brk in text for brk in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):  # more line ends to str.splitlines
-            return None
-        commented = _blank_comments(buf)
-    raw = bytes(data)
-    del data, buf  # the passes below hold one copy of the text
-    if raw.translate(None, _ARRAY_BYTES):  # a byte beyond ASCII outside a comment, among others
-        return None
-    count = _tokens_per_line(np.frombuffer(raw, np.uint8))
-    if count is None or ((count | 2) != 2).any() or count[commented].any():  # each line: 0 or 2 tokens
-        return None
-    bounds = [0, *(int(count[:line].sum()) for line in separators), int(count.sum())]
-    del count
-    numbers = np.fromstring(raw, dtype=np.int64, sep=" ")
-    patterns = [_pattern(numbers[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return None if any(m is None for m in patterns) else patterns
+    if not numbers.size:
+        raise ParseError("missing header" if malformed is None else f"malformed header line {malformed + 1}")
+    rows, cols = numbers[:2].tolist()
+    if min(rows, cols) < 0 or max(rows, cols) > _MAX_DIMENSION:
+        fault = "negative dimension" if min(rows, cols) < 0 else "dimension too large"
+        raise ParseError(f"{fault} line {start + count.argmax() + 1}")
+    pairs = numbers[2:].reshape(-1, 2)
+    refused = None
+    if malformed is None:
+        try:
+            m = StructMatrix(rows, cols, pairs)
+            if m.csc[1].size == len(pairs):
+                return m
+        except ValueError as exc:  # a star out of range, or the memory budget
+            refused = exc
+    lines = start + np.flatnonzero(count)[1:] + 1  # each star's line number
+    out = np.append((pairs.view(np.uint64) >= (rows, cols)).any(axis=1), True).argmax()  # negatives wrap high
+    keys = pairs[:out, 1] * rows + pairs[:out, 0]
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # every later copy of a star
+    if repeats.size:  # all lie before the first star out of range
+        raise ParseError(f"duplicate entry line {lines[repeats.min()]}")
+    if out < len(pairs):
+        raise ParseError(f"entry out of range line {lines[out]}")
+    if malformed is not None:
+        raise ParseError(f"malformed entry line {malformed + 1}")
+    raise refused
 
 
 def _read(text: str, blocks: int) -> list[StructMatrix]:
-    """The ``blocks`` patterns of a text: by arrays when it has the common shape, else line by line."""
-    return _read_by_arrays(text, blocks) or _walk(text, blocks)
+    """The ``blocks`` patterns of a text; ParseError names its first bad line."""
+    if ("\r" in text and text.count("\r") != text.count("\r\n")) or any(brk in text for brk in _LINE_ENDS):
+        text = "\n".join(text.splitlines())  # so LF alone ends the lines that str.splitlines sees
+    data = bytearray(text, "utf-8")
+    buf = np.frombuffer(data, np.uint8)  # writable, shares data
+    bounds = [0]  # each block's first line, then the line count
+    if blocks == 2:
+        spans = _separator_lines(data)
+        if not spans:
+            raise ParseError("missing '---' separator between the two pattern blocks")
+        lines = [np.count_nonzero(buf[:lo] == ord("\n")) for lo, _ in spans]
+        if len(lines) > 1:
+            raise ParseError(f"unexpected extra separator line {lines[1] + 1}")
+        buf[slice(*spans[0])] = ord(" ")
+        bounds += lines
+    commented = _blank_comments(buf) if "#" in text else np.empty(0, np.intp)
+    scan = bytes(data)
+    count, flagged = _tokens_per_line(np.frombuffer(scan, np.uint8))
+    bounds.append(len(count))
+    odd = np.concatenate((np.flatnonzero((count | 2) != 2), commented[count[commented] != 0]))
+    malformed, end = None, len(data)  # the first malformed line and its first byte
+    if odd.size or flagged.size or scan.translate(None, _ARRAY_BYTES):  # a byte beyond ASCII, among others
+        ends = np.flatnonzero(buf == ord("\n"))
+        flagged = np.append(flagged, np.flatnonzero(np.isin(buf, list(_ARRAY_BYTES), invert=True)))
+        odd = np.unique(np.append(odd, np.searchsorted(ends, flagged)))
+        ends = np.concatenate(([-1], ends, [len(buf)]))  # line i spans ends[i] + 1 to ends[i + 1]
+        count[odd] = 0  # and their bytes, line ends included, become blanks
+        buf[np.repeat(np.isin(np.arange(len(count)), odd), np.diff(ends))[: len(buf)]] = ord(" ")
+        raw, ends = text.encode(), ends.tolist()
+        for line in odd.tolist():
+            lo, hi = ends[line] + 1, ends[line + 1]
+            stripped = raw[lo:hi].decode().strip()
+            if stripped and not stripped.startswith("#"):
+                pair = _integer_pair(stripped)
+                if pair is None:
+                    malformed, end = line, lo
+                    count[line:] = 0
+                    break
+                plain = b"%d %d" % (min(max(pair[0], -1), 2**31), min(max(pair[1], -1), 2**31))  # range faults survive
+                data[lo : lo + len(plain)], count[line] = plain, 2  # no longer than the line
+        scan = bytes(data[:end])
+    numbers = np.fromstring(scan, np.int64, sep=" ") if count.any() else np.empty(0, np.int64)  # blanks read as [0]
+    patterns, first = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = int(count[lo:hi].sum())
+        inner = malformed if malformed is not None and malformed < hi else None  # else it is past this block
+        patterns.append(_block(numbers[first : first + size], count[lo:hi], lo, inner))
+        first += size
+    return patterns
 
 
 def parse_struct_matrix(text: str) -> StructMatrix:

@@ -12,6 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import structctrl
 from structctrl import bench, cli, graph, matching
 from structctrl.bench import condense_times, dedicated_selection_times, loglog_slope
@@ -432,10 +437,10 @@ class TestModuleEntryPoint:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
     @classmethod
-    def run(cls, module, *argv):
+    def run(cls, module, *argv, **options):
         return subprocess.run(
             [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=cls.env, timeout=120,
+            capture_output=True, text=True, env=cls.env, timeout=120, **options,
         )
 
     def test_python_dash_m_runs_the_cli(self, demo_file):
@@ -447,6 +452,18 @@ class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_package(self, demo_file):
         solved = self.run("structctrl", "solve", demo_file)
         assert (solved.returncode, solved.stdout) == (0, "FEASIBLE 1: 2 [exact]\n")
+
+    @pytest.mark.skipif(resource is None, reason="the platform has no resource limits")
+    def test_too_many_columns_is_bad_input(self, tmp_path):
+        # 2**31 - 1 input columns: their arrays would take 24 GiB, so the 4 GiB cap
+        # makes an unguarded allocation fail with MemoryError instead of filling the host
+        path = tmp_path / "wide.instance"
+        path.write_text("1 1\n0 0\n---\n1 2147483647\n")
+        cap = 4 << 30
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))  # noqa: E731
+        done = self.run("structctrl", "check", str(path), preexec_fn=limit)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: 1x2147483647 pattern needs 24.0 GiB for its column arrays, over the budget of 1 GiB\n"
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_closed_stdout_pipe_ends_quietly(self, tmp_path):

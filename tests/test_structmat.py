@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import find, given
 from hypothesis import strategies as st
 
 from structctrl import structmat
@@ -27,26 +27,34 @@ from oracles import parse_blocks_by_lines, parse_pattern_by_lines
 from strategies import instances, struct_matrices
 
 # Texts for the parser referee: small signed or zero-padded numbers,
-# tabs, comments, blank lines, inline comments, lines of one or three
-# tokens, non-integers and numbers past int64, with LF, CRLF and CR ends.
-# Most lines are well formed, so many texts parse and the faults that
-# remain fall on different lines.  Numbers past int64 stay off header
-# lines, where the int32 dimension bound, which the line parser lacks,
-# would reject them.
+# some padded past 18 characters, tabs and unit separators between
+# numbers, no-break and ideographic spaces as line padding or blank
+# lines, comments, blank lines, inline comments, lines of one or three
+# tokens, non-integers and numbers past int64, with LF, CRLF, CR, FF,
+# NEL and LS line ends.  Most lines are well formed, so many texts parse
+# and the faults that remain fall on different lines; many hold lines
+# that the array pass leaves to be read one at a time.  Numbers past
+# int64 stay off header lines, where the int32 dimension bound, which
+# the line parser lacks, would reject them.  Non-ASCII blanks stay out
+# from between numbers, where the line parser's split accepts them.
 
 
 def _numbers(digits: str):
     return st.builds(
         "".join,
-        st.tuples(st.sampled_from([""] * 8 + ["+", "-"]), st.sampled_from(["", "", "0"]), st.sampled_from(digits)),
+        st.tuples(
+            st.sampled_from([""] * 8 + ["+", "-"]),
+            st.sampled_from(["", "", "0", "", "", "0", "0" * 18, "0" * 21]),
+            st.sampled_from(digits),
+        ),
     )
 
 
 _DIMENSION = _numbers("0234445")
 _INDEX = _numbers("0123")
 _WORD = st.sampled_from(["x", "1.0", "2e1", "+", "-", "--", "0x1", "1,2"])
-_GAP = st.sampled_from([" ", "  ", "\t", " \t "])
-_PAD = st.sampled_from(["", "", " ", "\t"])
+_GAP = st.sampled_from([" ", "  ", "\t", " \t ", " ", "\x1f", " \x1f"])
+_PAD = st.sampled_from(["", "", " ", "\t", "", "", " ", "\t", "\xa0", "\u3000"])
 _HEADER_KINDS = ["pair"] * 24 + ["inline", "one", "three", "word"]
 _ENTRY_KINDS = _HEADER_KINDS + ["comment", "comment", "blank", "blank", "past int64"]
 
@@ -83,7 +91,8 @@ def _block_lines(draw):
 
 
 def _join(draw, lines) -> str:
-    endings = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r", "\r", "\x0c", "\x85", "\u2028"])
+    endings = draw(st.lists(ends, min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, endings))
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
@@ -275,6 +284,23 @@ class TestPatternParsing:
     def test_comments_may_hold_any_text(self):
         assert parse_struct_matrix("# \u00e9tat 1_0\n1 1\n0 0 \n").stars == frozenset({(0, 0)})
 
+    def test_column_arrays_fit_the_budget(self, monkeypatch):
+        with pytest.raises(ValueError, match="1x2147483647 pattern needs 24.0 GiB .* budget of 1 GiB"):
+            parse_struct_matrix("1 2147483647\n")
+        # 12 bytes a column; the budget is lowered so that no test allocates it
+        monkeypatch.setattr(structmat, "_BUDGET_BYTES", 12 * 1000)
+        assert StructMatrix(1, 1000, []).cols == 1000
+        with pytest.raises(ValueError, match="1x1001 pattern needs .* GiB for its column arrays"):
+            StructMatrix(1, 1001, [])
+        # the parser passes that refusal on, unless a line is at fault first
+        with pytest.raises(ValueError, match="GiB") as refused:
+            parse_instance("1 1\n0 0\n---\n1 1001\n0 1000\n")
+        assert not isinstance(refused.value, ParseError)
+        for text, fault in (("1 1001\n0 5\n0 5\n", "duplicate entry line 3"), ("1 1001\n1 5\n", "out of range line 2"),
+                            ("1 1001\n0 5\nx\n", "malformed entry line 3")):
+            with pytest.raises(ParseError, match=fault):
+                parse_struct_matrix(text)
+
     def test_dimensions_fit_int32(self):
         assert parse_struct_matrix("2147483647 0\n").rows == 2**31 - 1
         with pytest.raises(ParseError, match="dimension too large line 2"):
@@ -384,6 +410,7 @@ _SHAPES = {
     "zero padding": lambda lines, seed: "\r\n".join(
         _respell(lines, seed, lambda rng, t: "0" * int(rng.integers(0, 12)) + t)
     ),
+    "line ends in comments": lambda lines, seed: "\n".join(_commented(lines, seed)).replace("#", "# \x85#") + "\n",
 }
 
 
@@ -398,16 +425,16 @@ def _faulty(lines: list[str], fault: str, at: int) -> list[str]:
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the texts that the line walk parses."""
-    calls = []
-    walk = structmat._walk
+    """Collect the lines that the parser reads one at a time."""
+    lines = []
+    pair = structmat._integer_pair
 
-    def counted(text, blocks):
-        calls.append(blocks)
-        return walk(text, blocks)
+    def counted(text):
+        lines.append(text)
+        return pair(text)
 
-    monkeypatch.setattr(structmat, "_walk", counted)
-    return calls
+    monkeypatch.setattr(structmat, "_integer_pair", counted)
+    return lines
 
 
 class TestParsingAtScale:
@@ -424,16 +451,39 @@ class TestParsingAtScale:
         lines = _instance_lines(7)
         first, second = parse_instance_blocks("\n".join(lines) + "\n")
         assert parse_struct_matrix("\n".join(lines[: lines.index("---")])) == first
+        for shape in _SHAPES.values():
+            assert parse_instance_blocks(shape(lines, 7)) == (first, second)
         assert walks == []
+
+    def test_odd_lines_are_read_one_at_a_time(self, walks):
+        # a unit separator gap, a padded comment and blank, a number past 18 characters
+        text = "3 3\n0\x1f1\n\xa0# note\n\u3000\n2 2\n0000000000000000000001 1\n2\t0\n"
+        assert parse_struct_matrix(text) == StructMatrix(3, 3, [(0, 1), (2, 2), (1, 1), (2, 0)])
+        assert walks == ["0\x1f1", "0000000000000000000001 1"]
+        with pytest.raises(ParseError, match="duplicate entry line 6"):  # after the odd line it repeats
+            parse_struct_matrix("3 3\n0\x1f1\n1 1\n\n \n0 1\n")
+        with pytest.raises(ParseError, match="entry out of range line 3"):  # before the malformed line
+            parse_struct_matrix("3 3\n0 1\n9 9\x1f\n0 x\n")
+        with pytest.raises(ParseError, match="malformed entry line 3"):  # the lines after it are not read
+            parse_struct_matrix("3 3\n0 1\n0 x\n9 9\n0 1\n")
+
+    def test_drawn_texts_read_some_lines_one_at_a_time(self, walks):
+        def read_by_line(text):
+            walks.clear()
+            got = _outcome(parse_instance_blocks, text)
+            return bool(walks) and got == _outcome(parse_blocks_by_lines, text)
+
+        find(instance_texts(), read_by_line)
 
     @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029", "\x0c"])
     def test_line_ends_inside_comments_go_to_the_line_walk(self, brk, walks):
-        # str.splitlines ends a line there, so "1 1" is a star line
+        # str.splitlines ends a line there, so "1 1" is a star line; the
+        # text is normalised to LF first, so no line is read on its own
         lines = _instance_lines(5, n=40)
         lines[0] = f"# label{brk}1 1"
         text = "\n".join(lines) + "\n"
         assert _outcome(parse_instance_blocks, text) == _outcome(parse_blocks_by_lines, text)
-        assert walks == [2]
+        assert walks == []
 
     @pytest.mark.parametrize("fault", ["malformed", "three numbers", "out of range", "past int64", "duplicate"])
     @pytest.mark.parametrize("block", [0, 1])
@@ -445,7 +495,9 @@ class TestParsingAtScale:
             got = _outcome(parse_instance_blocks, text)
             assert got.startswith("ParseError: ")
             assert got == _outcome(parse_blocks_by_lines, text)
-        assert walks == [2, 2, 2]
+        # only a line the array pass cannot read is read on its own, once per shape
+        bad = _faulty(lines, fault, end - 2)[end - 2]
+        assert walks == ([] if fault in ("out of range", "duplicate") else [bad] * 3)
 
 
 class TestTranspose:
