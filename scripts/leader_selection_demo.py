@@ -3,8 +3,9 @@
 The first network has nine agents in two weakly coupled communities and
 four candidate input channels; selecting leaders means covering both
 non-top-linked SCCs, and one channel happens to reach both.  The second
-has thirteen agents fed by four source chains and unrestricted inputs,
-where the dedicated-selection routine picks exactly the four sources.
+has thirteen self-looped agents fed by four source chains and
+unrestricted inputs, where leader selection picks exactly the four
+sources, the smallest agent of each non-top-linked SCC.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from structctrl.demo import four_source_network, two_community_network
 from structctrl.graph import condensation_report
 from structctrl.mincis import (
-    dedicated_input_selection,
+    leader_selection_unconstrained,
     mincis_reduce,
     solve_mincis,
 )
@@ -33,7 +34,7 @@ def unconstrained() -> None:
     inst = four_source_network()
     print(f"== unconstrained: {inst.label} ==")
     print(condensation_report(inst.a.condensation), end="")
-    print("leaders:", dedicated_input_selection(inst.a).report())
+    print("leaders:", leader_selection_unconstrained(inst.a).report())
 
 
 if __name__ == "__main__":

@@ -20,6 +20,10 @@ are forced by the rank condition and representatives by accessibility.
 With k non-top-linked SCCs and nu the size of the extended matching,
 every selection needs at least n + k - nu states and this one uses at
 most that many, so it is optimal.
+
+``leader_selection_unconstrained`` is that case when every agent has a
+self-loop: the diagonal is then a perfect matching, nu = n + k, and the
+smallest agent of each non-top-linked SCC leads, with no matching run.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .ctrl import is_structurally_controllable
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .setcover import SetCoverInstance, exact_min_cover, greedy_cover
-from .structmat import ProblemInstance, StructMatrix, _star_columns
+from .structmat import ProblemInstance, StructMatrix, _self_looped, _star_columns
 
 
 class InfeasibleInstance(ValueError):
@@ -160,21 +164,22 @@ def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
 def _require_self_loops(w: StructMatrix) -> None:
     if w.rows != w.cols:
         raise ValueError("agent coupling pattern must be square")
-    rows = w.csc[1]
-    looped = np.bincount(rows[rows == _star_columns(w)], minlength=w.rows)
+    looped = _self_looped(w)
     if not looped.all():
         raise ValueError(f"agent {looped.argmin()} has no self-loop; leader selection needs one per agent")
 
 
 def leader_selection_unconstrained(w: StructMatrix) -> SelectionResult:
-    """Fewest leaders when any agent may lead.
+    """Fewest leaders when any agent may lead: the smallest agent of each non-top-linked SCC.
 
     The coupling pattern must carry a self-loop on every agent (each
-    agent weighs its own state), which also guarantees the perfect
-    matching the covering machinery relies on.
+    agent weighs its own state).  The loops form a perfect matching, so
+    one leader per source SCC, any member, is both needed and enough.
     """
     _require_self_loops(w)
-    return dedicated_input_selection(w)
+    order, bounds = w.condensation._groups()
+    chosen = order[bounds[w.condensation.sources]].tolist()
+    return SelectionResult(tuple(chosen), True, "exact", len(chosen))
 
 
 def leader_selection_constrained(w: StructMatrix, b: StructMatrix) -> SelectionResult:

@@ -137,11 +137,12 @@ class StructMatrix:
 
     @cached_property
     def perfectly_matchable(self) -> bool:
-        """True when some matching of this square pattern saturates every row; found on first use."""
+        """True when some matching of this square pattern saturates every row; found on first use,
+        and with no matching run when every state has a self-loop, since the diagonal is one."""
         from .matching import _match_rows  # matching imports this module
         if self.rows != self.cols:
             raise ValueError("perfect matching needs a square pattern")
-        return bool((_match_rows(self.csc, self.rows) >= 0).all())
+        return bool(_self_looped(self).all() or (_match_rows(self.csc, self.rows) >= 0).all())
 
     def __reduce__(self):  # copies go through the checks, stay read-only and carry no cache
         return StructMatrix, (self.rows, self.cols, np.column_stack((self.csc[1], _star_columns(self))))
@@ -160,8 +161,17 @@ class StructMatrix:
 
 
 def _star_columns(m: StructMatrix) -> np.ndarray:
-    """The column of each star, in the order of ``m.csc[1]``."""
-    return np.repeat(np.arange(m.cols), np.diff(m.csc[0]))
+    """The column of each star, in the order of ``m.csc[1]``, in O(stars) extra memory."""
+    indptr = m.csc[0]
+    if m.cols > indptr[-1]:  # the repeat would build two O(cols) arrays for fewer stars
+        return np.searchsorted(indptr, np.arange(indptr[-1], dtype=indptr.dtype), side="right") - 1
+    return np.repeat(np.arange(m.cols), np.diff(indptr))
+
+
+def _self_looped(m: StructMatrix) -> np.ndarray:
+    """Bool mask of the states of square ``m`` whose diagonal entry is a star."""
+    rows = m.csc[1]
+    return np.bincount(rows, weights=rows == _star_columns(m), minlength=m.rows) > 0  # a mask would index slower
 
 
 @dataclass(frozen=True)

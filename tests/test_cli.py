@@ -71,6 +71,14 @@ def unmatchable_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def swapped_file(tmp_path):
+    # stars (0, 1) and (1, 0): perfectly matchable with no self-loop, one source SCC that input 0 actuates
+    path = tmp_path / "swapped.instance"
+    path.write_text("2 2\n0 1\n1 0\n---\n2 1\n0 0\n")
+    return str(path)
+
+
 class TestCheck:
     def test_two_community_network(self, demo_file, capsys):
         assert main(["check", demo_file]) == 0
@@ -407,9 +415,12 @@ class TestOneCondensation:
         assert len(condensations) == 1
 
     @pytest.mark.parametrize("argv", [["check"], ["solve", "--mode", "greedy"]])
-    def test_one_matching_per_command(self, argv, demo_file, matchings, capsys):
-        assert main([argv[0], demo_file, *argv[1:]]) == 0
-        assert len(matchings) == 1
+    def test_one_matching_per_command(self, argv, swapped_file, demo_file, matchings, capsys):
+        # the demo's self-loops are its perfect matching, so it needs no matching kernel
+        for path, count in ((swapped_file, 1), (demo_file, 0)):
+            matchings.clear()
+            assert main([argv[0], path, *argv[1:]]) == 0
+            assert len(matchings) == count
 
     def test_bench_condenses_in_every_timed_run(self, condensations):
         dedicated_selection_times([50, 60])

@@ -2,7 +2,9 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from structctrl import matching
 from structctrl.matching import (
     BipartiteGraph,
     Matching,
@@ -13,6 +15,7 @@ from structctrl.structmat import StructMatrix, identity_pattern
 
 from oracles import max_matching_size, spanning_cycle_union_exists
 from strategies import bipartite_graphs, square_matrices
+from test_cli import _counted
 
 
 class TestTypes:
@@ -99,6 +102,16 @@ class TestHasPerfectMatching:
     def test_cycle_permutation(self):
         a = StructMatrix(3, 3, frozenset({(1, 0), (2, 1), (0, 2)}))
         assert has_perfect_matching(a)
+
+    @given(square_matrices(max_n=6), st.booleans())
+    def test_matches_the_enumeration_referee(self, a, looped):
+        if looped:
+            a = StructMatrix(a.rows, a.cols, a.stars | {(i, i) for i in range(a.rows)})
+        full_diagonal = all((i, i) in a.stars for i in range(a.rows))
+        with pytest.MonkeyPatch.context() as patch:
+            kernel = _counted(patch, matching, "maximum_bipartite_matching")
+            assert a.perfectly_matchable == (max_matching_size(a.cols, {(c, r) for r, c in a.stars}) == a.rows)
+        assert len(kernel) == (0 if full_diagonal else 1)  # the diagonal is its own certificate
 
     @given(square_matrices(max_n=6))
     def test_equivalent_to_spanning_cycle_unions(self, a):

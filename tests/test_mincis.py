@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
+from structctrl import matching
 from structctrl.ctrl import is_structurally_controllable
 from structctrl.demo import four_source_network, two_community_network
 from structctrl.generate import random_struct_matrix
@@ -22,12 +23,35 @@ from structctrl.mincis import (
 )
 from structctrl.structmat import ProblemInstance, StructMatrix, identity_pattern
 
-from oracles import dedicated_count_by_assignment, mincis_reduce_by_frozensets
+from oracles import dedicated_count_by_assignment, mincis_reduce_by_frozensets, scc_partition
 from strategies import matchable_instances, square_matrices
+from test_cli import _counted
 
 
 def cycle_pattern(n: int) -> StructMatrix:
     return StructMatrix(n, n, frozenset(((i + 1) % n, i) for i in range(n)))
+
+
+def _with_diagonal(a: StructMatrix) -> StructMatrix:
+    return StructMatrix(a.rows, a.cols, a.stars | {(i, i) for i in range(a.rows)})
+
+
+def _assert_referees_pick_the_leaders(w: StructMatrix, brute: bool) -> None:
+    """Leaders are the smallest agent of each mutual-reachability class no outside star enters,
+    as many as the assignment referee counts, and found with no matching."""
+    dedicated = ProblemInstance(w, identity_pattern(w.rows))
+    with pytest.MonkeyPatch.context() as patch:
+        matchings = _counted(patch, matching, "maximum_bipartite_matching")
+        leaders = leader_selection_unconstrained(w)
+        assert is_structurally_controllable(dedicated, leaders.chosen)
+    assert not matchings
+    blocks = scc_partition(w.rows, {(c, r) for r, c in w.stars})
+    block = {v: b for b in blocks for v in b}
+    entered = {block[r] for r, c in w.stars if block[r] != block[c]}
+    assert leaders.chosen == tuple(sorted(min(b) for b in blocks - entered))
+    assert leaders.objective == dedicated_count_by_assignment(w)
+    if brute:
+        assert leaders.objective == brute_force_mincis(dedicated).objective
 
 
 class TestSelectionResult:
@@ -230,3 +254,15 @@ class TestLeaderSelection:
         free = leader_selection_unconstrained(w)
         pinned = leader_selection_constrained(w, identity_pattern(w.rows))
         assert pinned.objective == free.objective
+
+    @given(square_matrices(max_n=8))
+    def test_self_looped_agents_match_the_referees(self, a):
+        _assert_referees_pick_the_leaders(_with_diagonal(a), brute=True)
+
+    def test_self_looped_agents_match_the_referees_up_to_200(self):
+        rng = random.Random(1404)
+        for _ in range(200):
+            n = rng.randint(20, 200)
+            density = rng.uniform(0.5, 3.0) / n
+            a = random_struct_matrix(n, n, density, random.Random(rng.getrandbits(32)))
+            _assert_referees_pick_the_leaders(_with_diagonal(a), brute=False)

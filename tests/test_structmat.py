@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -525,6 +526,24 @@ class TestColumnArrays:
     def test_no_stars(self):
         indptr, rows = StructMatrix(2, 3, frozenset()).csc
         assert indptr.tolist() == [0, 0, 0, 0] and rows.size == 0
+
+    @given(struct_matrices(max_cols=12))
+    def test_star_columns_either_way(self, m):
+        # fewer stars than columns take the searchsorted branch, the rest the repeat
+        indptr = m.csc[0]
+        columns = structmat._star_columns(m)
+        assert np.array_equal(columns, np.repeat(np.arange(m.cols), np.diff(indptr)))
+        assert columns.dtype == np.intp
+
+    def test_star_columns_of_a_wide_pattern_cost_its_stars(self):
+        m = StructMatrix(1, 5_000_000, [(0, 4_999_999)])
+        tracemalloc.start()
+        try:
+            assert serialize_struct_matrix(m) == "1 5000000\n0 4999999\n"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one column array of 5,000,000 entries would take 20 to 40 MB
 
     @given(struct_matrices())
     def test_columns_hold_their_stars_in_row_order(self, m):
