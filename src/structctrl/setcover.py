@@ -11,8 +11,9 @@ progress.
 
 File format: header line ``M N`` (universe size, set count), then
 exactly N lines, line j listing the members of set j as space-separated
-0-based integers.  An empty line is an empty set.  Numbers follow the
-pattern files' rule: ASCII decimal integers with an optional sign.
+0-based integers.  An empty line is an empty set.  The pattern files'
+tokenizer reads it: ASCII decimal integers with an optional sign, and
+blanks at a line's ends, Unicode ones too, are ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .structmat import ParseError, ProblemInstance, StructMatrix, identity_pattern
-from .structmat import _column_indices, _integer_pair, _integers, _is_integer
+from .structmat import _INT64_MAX, _block, _column_indices, _is_integer, _lf_bytes, _numbers
 
 _FAILED_CAP = 1 << 16  # a component's table of failed subproblems is emptied at this size
 _SLACK = 1e-9  # how far a dual sum must pass a budget to cut: far above its float rounding
@@ -296,34 +297,27 @@ def setcover_to_mincis(inst: SetCoverInstance) -> ProblemInstance:
 
 
 def parse_set_cover(text: str) -> SetCoverInstance:
-    lines = text.splitlines()
-    head = _integer_pair(lines[0]) if lines else None
-    if head is None or head[0] < 1 or head[1] < 0:
+    """Read a cover file, set j's elements as column j's rows; ParseError names the first bad line."""
+    data = _lf_bytes(text)
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))  # as str.splitlines counts them
+    numbers, count, malformed = _numbers(data)
+    if malformed == 0 or count[0] != 2 or numbers[0] < 1 or numbers[1] < 0:
         raise ParseError("malformed header line 1")
-    m, count = head
-    if len(lines) < 1 + count:
-        raise ParseError(f"expected {count} set lines, found {len(lines) - 1}")
-    sets: list[list[int]] = []
-    for offset in range(count):
-        lineno = offset + 2
-        numbers = _integers(lines[1 + offset])
-        if numbers is None:
-            raise ParseError(f"malformed element line {lineno}")
-        members: set[int] = set()
-        for e in numbers:
-            if not 0 <= e < m:
-                raise ParseError(f"element out of range line {lineno}")
-            if e in members:
-                raise ParseError(f"duplicate element line {lineno}")
-            members.add(e)
-        sets.append(numbers)
-    for extra in range(1 + count, len(lines)):
-        if lines[extra].strip():
-            raise ParseError(f"unexpected content line {extra + 1}")
-    return SetCoverInstance(m, sets)
+    m, size = numbers[:2].tolist()
+    if _INT64_MAX in (m, size):  # a number past int64 was clamped; the header line holds it
+        m, size = map(int, text.splitlines()[0].split())
+    if lines < 1 + size:
+        raise ParseError(f"expected {size} set lines, found {lines - 1}")
+    extra = np.flatnonzero(count[1 + size :])  # nothing is counted from a malformed line on
+    bad = 1 + size + int(extra[0]) if extra.size else malformed
+    fault = None if bad is None else f"{'malformed element' if bad <= size else 'unexpected content'} line {bad + 1}"
+    per_set = count[1 : 1 + size]
+    pairs = np.column_stack((numbers[2 : 2 + per_set.sum()], np.repeat(np.arange(size), per_set)))
+    return SetCoverInstance(m, _block(m, size, pairs, lambda: pairs[:, 1] + 2, fault, "element"))  # set j: line j + 2
 
 
 def serialize_set_cover(inst: SetCoverInstance) -> str:
+    """Inverse of parse_set_cover: the header, then one line per set, its elements ascending."""
     lines = [f"{inst.universe_size} {inst.incidence.cols}"]
     columns = _columns(inst.incidence)
     lines.extend(" ".join(map(str, columns.get(j, ()))) for j in range(inst.incidence.cols))

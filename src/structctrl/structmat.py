@@ -21,20 +21,18 @@ input pattern (rows = states, columns = inputs).
 
 Parsing
 -------
-One reader serves both formats.  A text with a line end other than LF or
-CRLF is first rejoined with LF, so its lines are those of
-``str.splitlines``.  Array passes over its UTF-8 bytes blank the ``---``
-line and the ``#`` comments, count each line's tokens and mark the odd
-lines: a byte other than an ASCII digit, sign or blank, a token over 18
-bytes, a misplaced sign, a token count other than 0 or 2, or tokens
-before a ``#``.  Odd lines are read one at a time up to the first
-malformed one, and each pair found there is written back as plain
-numbers, so one ``numpy.fromstring`` reads every number.  The
-``StructMatrix`` constructor range-checks each block's stars and groups
-them into ``csc``.  Only when it refuses or merges stars, or a line is
+Pattern, instance and cover text (``setcover``) share one tokenizer,
+``_numbers``, and one fault placer, ``_block``; each reader adds only
+its format's rules.  A text with a line end other than LF or CRLF is
+first rewritten with LF, so its lines are those of ``str.splitlines``.
+Array passes count each line's tokens.  A line with a byte other than
+an ASCII digit, sign or blank, a token over 18 bytes or a misplaced
+sign is read alone and written back as plain numbers, so one
+``numpy.fromstring`` reads every number up to the first malformed line.
+The ``StructMatrix`` constructor range-checks the stars and groups them
+into ``csc``.  Only when it refuses or merges stars, or a line is
 malformed, is a fault placed: the ``ParseError`` names the first bad
-line (malformed, out of range or duplicate, numbered from 1 in the whole
-text).  No ``stars`` set is built.
+line, numbered from 1 in the whole text.  No ``stars`` set is built.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 _MAX_DIMENSION = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _BUDGET_BYTES = 1 << 30  # the most memory a pattern's column arrays, or a probe, may plan to hold
 _ARRAY_BYTES = b"0123456789+- \t\r\n"  # what the array pass reads, comments aside
 _LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines also ends a line at these and a lone CR
@@ -227,10 +226,12 @@ def _integers(text: str) -> list[int] | None:
         return None
 
 
-def _integer_pair(text: str) -> tuple[int, int] | None:
-    """The two integers of a header or star line, or None if it holds anything else."""
-    numbers = _integers(text)
-    return (numbers[0], numbers[1]) if numbers is not None and len(numbers) == 2 else None
+def _lf_bytes(text: str) -> bytearray:
+    """The UTF-8 bytes of ``text``, each line ended with LF if a line end other than LF or
+    CRLF occurs, so that its lines, split at LF, are those of ``str.splitlines``."""
+    if ("\r" in text and text.count("\r") != text.count("\r\n")) or any(brk in text for brk in _LINE_ENDS):
+        text = "\n".join(text.splitlines()) + "\n"  # the LF keeps a last empty line
+    return bytearray(text, "utf-8")
 
 
 def _blank_comments(buf: np.ndarray) -> np.ndarray:
@@ -270,6 +271,34 @@ def _tokens_per_line(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count, np.concatenate((long, signs))
 
 
+def _numbers(data: bytearray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Every number of the LF-ended lines in ``data``, each line's token count, and the first
+    malformed line or None.  Odd lines are read alone up to that line, blank ones skipped, and
+    written back clamped to [-1, 2**63 - 1], so range faults survive; nothing from it on counts."""
+    scan = bytes(data)
+    count, flagged = _tokens_per_line(np.frombuffer(scan, np.uint8))
+    malformed, end = None, len(data)  # the first malformed line and its first byte
+    if flagged.size or scan.translate(None, _ARRAY_BYTES):  # a byte beyond ASCII, among others
+        buf = np.frombuffer(scan, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        flagged = np.append(flagged, np.flatnonzero(np.isin(buf, list(_ARRAY_BYTES), invert=True)))
+        odd = np.unique(np.searchsorted(ends, flagged))
+        ends = [-1, *ends.tolist(), len(data)]  # line i spans ends[i] + 1 to ends[i + 1]
+        for line in odd.tolist():
+            lo, hi = ends[line] + 1, ends[line + 1]
+            stripped = scan[lo:hi].decode().strip()
+            values = _integers(stripped) if stripped else []
+            if values is None:
+                malformed, end = line, lo
+                count[line:] = 0
+                break
+            plain = b" ".join(b"%d" % min(max(v, -1), _INT64_MAX) for v in values)  # no longer than the line
+            data[lo:hi], count[line] = plain.ljust(hi - lo), len(values)
+        scan = bytes(data[:end])
+    numbers = np.fromstring(scan, np.int64, sep=" ") if count.any() else np.empty(0, np.int64)  # blanks read as [0]
+    return numbers, count, malformed
+
+
 def _separator_lines(data: bytearray) -> list[tuple[int, int]]:
     """The byte spans of the lines that hold ``---`` between blanks."""
     spans = []
@@ -284,49 +313,38 @@ def _separator_lines(data: bytearray) -> list[tuple[int, int]]:
     return spans
 
 
-def _block(numbers: np.ndarray, count: np.ndarray, start: int, malformed: int | None) -> StructMatrix:
-    """One block's pattern from its numbers, header first.
+def _block(rows: int, cols: int, pairs: np.ndarray, lines, fault: str | None, noun: str) -> StructMatrix:
+    """The pattern of the (row, col) ``pairs``, in text order; ``lines()`` numbers each one's line.
 
-    ``count`` holds the token count, 0 or 2, of each line of the block,
-    whose first line has index ``start``; nothing is read from line
-    ``malformed``, the block's first malformed line, on.  Faults are
-    placed only when the constructor refuses the stars or merges a
-    repeat, or a line is malformed; any other ValueError passes unchanged.
+    ``fault`` is the message for the line where reading stopped, if it did.  Faults are
+    placed only when the constructor refuses the stars or merges a repeat, or reading
+    stopped: the first repeat or ``noun`` out of range, else ``fault``; any other
+    ValueError passes unchanged.
     """
-    if not numbers.size:
-        raise ParseError("missing header" if malformed is None else f"malformed header line {malformed + 1}")
-    rows, cols = numbers[:2].tolist()
-    if min(rows, cols) < 0 or max(rows, cols) > _MAX_DIMENSION:
-        fault = "negative dimension" if min(rows, cols) < 0 else "dimension too large"
-        raise ParseError(f"{fault} line {start + count.argmax() + 1}")
-    pairs = numbers[2:].reshape(-1, 2)
     refused = None
-    if malformed is None:
+    if fault is None:
         try:
             m = StructMatrix(rows, cols, pairs)
             if m.csc[1].size == len(pairs):
                 return m
-        except ValueError as exc:  # a star out of range, or the memory budget
+        except ValueError as exc:  # a star out of range, or a dimension or the memory budget
             refused = exc
-    lines = start + np.flatnonzero(count)[1:] + 1  # each star's line number
-    out = np.append((pairs.view(np.uint64) >= (rows, cols)).any(axis=1), True).argmax()  # negatives wrap high
-    keys = pairs[:out, 1] * rows + pairs[:out, 0]
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # every later copy of a star
+    at = lines()  # built only on a fault
+    out = np.append(((pairs < 0) | (pairs >= (rows, cols))).any(axis=1), True).argmax()  # exact for any rows
+    order = np.lexsort((pairs[:out, 0], pairs[:out, 1]))  # stable, so each repeat follows its first copy
+    repeats = order[1:][(np.diff(pairs[order], axis=0) == 0).all(axis=1)]
     if repeats.size:  # all lie before the first star out of range
-        raise ParseError(f"duplicate entry line {lines[repeats.min()]}")
+        raise ParseError(f"duplicate {noun} line {at[repeats.min()]}")
     if out < len(pairs):
-        raise ParseError(f"entry out of range line {lines[out]}")
-    if malformed is not None:
-        raise ParseError(f"malformed entry line {malformed + 1}")
+        raise ParseError(f"{noun} out of range line {at[out]}")
+    if fault is not None:
+        raise ParseError(fault)
     raise refused
 
 
 def _read(text: str, blocks: int) -> list[StructMatrix]:
     """The ``blocks`` patterns of a text; ParseError names its first bad line."""
-    if ("\r" in text and text.count("\r") != text.count("\r\n")) or any(brk in text for brk in _LINE_ENDS):
-        text = "\n".join(text.splitlines())  # so LF alone ends the lines that str.splitlines sees
-    data = bytearray(text, "utf-8")
+    data = _lf_bytes(text)
     buf = np.frombuffer(data, np.uint8)  # writable, shares data
     bounds = [0]  # each block's first line, then the line count
     if blocks == 2:
@@ -338,39 +356,25 @@ def _read(text: str, blocks: int) -> list[StructMatrix]:
             raise ParseError(f"unexpected extra separator line {lines[1] + 1}")
         buf[slice(*spans[0])] = ord(" ")
         bounds += lines
-    commented = _blank_comments(buf) if "#" in text else np.empty(0, np.intp)
-    scan = bytes(data)
-    count, flagged = _tokens_per_line(np.frombuffer(scan, np.uint8))
+    commented = _blank_comments(buf) if b"#" in data else np.empty(0, np.intp)
+    numbers, count, malformed = _numbers(data)
     bounds.append(len(count))
-    odd = np.concatenate((np.flatnonzero((count | 2) != 2), commented[count[commented] != 0]))
-    malformed, end = None, len(data)  # the first malformed line and its first byte
-    if odd.size or flagged.size or scan.translate(None, _ARRAY_BYTES):  # a byte beyond ASCII, among others
-        ends = np.flatnonzero(buf == ord("\n"))
-        flagged = np.append(flagged, np.flatnonzero(np.isin(buf, list(_ARRAY_BYTES), invert=True)))
-        odd = np.unique(np.append(odd, np.searchsorted(ends, flagged)))
-        ends = np.concatenate(([-1], ends, [len(buf)]))  # line i spans ends[i] + 1 to ends[i + 1]
-        count[odd] = 0  # and their bytes, line ends included, become blanks
-        buf[np.repeat(np.isin(np.arange(len(count)), odd), np.diff(ends))[: len(buf)]] = ord(" ")
-        raw, ends = text.encode(), ends.tolist()
-        for line in odd.tolist():
-            lo, hi = ends[line] + 1, ends[line + 1]
-            stripped = raw[lo:hi].decode().strip()
-            if stripped and not stripped.startswith("#"):
-                pair = _integer_pair(stripped)
-                if pair is None:
-                    malformed, end = line, lo
-                    count[line:] = 0
-                    break
-                plain = b"%d %d" % (min(max(pair[0], -1), 2**31), min(max(pair[1], -1), 2**31))  # range faults survive
-                data[lo : lo + len(plain)], count[line] = plain, 2  # no longer than the line
-        scan = bytes(data[:end])
-    numbers = np.fromstring(scan, np.int64, sep=" ") if count.any() else np.empty(0, np.int64)  # blanks read as [0]
+    bad = np.concatenate((np.flatnonzero((count | 2) != 2), commented[count[commented] != 0]))  # or tokens before '#'
+    stop = int(bad.min(initial=len(count) if malformed is None else malformed))  # first malformed line, or the end
+    count[stop:] = 0
     patterns, first = [], 0
     for lo, hi in zip(bounds, bounds[1:]):
         size = int(count[lo:hi].sum())
-        inner = malformed if malformed is not None and malformed < hi else None  # else it is past this block
-        patterns.append(_block(numbers[first : first + size], count[lo:hi], lo, inner))
-        first += size
+        values, first = numbers[first : first + size], first + size
+        fault = f"malformed entry line {stop + 1}" if stop < hi else None  # else it is past this block
+        if not values.size:
+            raise ParseError("missing header" if fault is None else f"malformed header line {stop + 1}")
+        rows, cols = values[:2].tolist()
+        if min(rows, cols) < 0 or max(rows, cols) > _MAX_DIMENSION:
+            fact = "negative dimension" if min(rows, cols) < 0 else "dimension too large"
+            raise ParseError(f"{fact} line {lo + count[lo:hi].argmax() + 1}")
+        stars = values[2:].reshape(-1, 2)  # the lines with tokens after the header's, in order
+        patterns.append(_block(rows, cols, stars, lambda: lo + 1 + np.flatnonzero(count[lo:hi])[1:], fault, "entry"))
     return patterns
 
 

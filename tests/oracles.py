@@ -6,7 +6,7 @@ repeated squaring, matchings by enumeration, cycle unions by
 permutation search, covers by subfamily enumeration, dedicated
 selection by one dense weighted assignment.  The rest are the
 package's earlier, slower paths, kept when they were replaced: the
-line-by-line pattern parser, the covering reduction that built one
+line-by-line pattern and cover parsers, the covering reduction that built one
 frozenset per input, the greedy cover that rescans every gain,
 the exact cover's two searches (size, then witness) and its one
 search on frozensets, the condensation
@@ -24,6 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 from structctrl.matching import PerfectMatchingRequired, has_perfect_matching
 from structctrl.mincis import InfeasibleInstance
+from structctrl.setcover import SetCoverInstance
 from structctrl.structmat import ParseError, StructMatrix
 
 
@@ -219,6 +220,45 @@ def parse_blocks_by_lines(text: str) -> tuple[StructMatrix, StructMatrix]:
     first = _parse_pattern_lines(lines[:cut], 1)
     second = _parse_pattern_lines(lines[cut + 1 :], cut + 2)
     return first, second
+
+
+def _line_integers(text: str) -> list[int] | None:
+    """The numbers of a line, or None unless it holds only ASCII decimal integers with optional signs."""
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return [int(part) for part in text.split()]
+    except ValueError:
+        return None
+
+
+def parse_set_cover_by_lines(text: str) -> SetCoverInstance:
+    """A cover file parsed a line at a time, each line stripped, with one Python set per line."""
+    lines = [line.strip() for line in text.splitlines()]
+    head = _line_integers(lines[0]) if lines else None
+    if head is None or len(head) != 2 or head[0] < 1 or head[1] < 0:
+        raise ParseError("malformed header line 1")
+    m, count = head
+    if len(lines) < 1 + count:
+        raise ParseError(f"expected {count} set lines, found {len(lines) - 1}")
+    sets: list[list[int]] = []
+    for offset in range(count):
+        lineno = offset + 2
+        numbers = _line_integers(lines[1 + offset])
+        if numbers is None:
+            raise ParseError(f"malformed element line {lineno}")
+        members: set[int] = set()
+        for e in numbers:
+            if not 0 <= e < m:
+                raise ParseError(f"element out of range line {lineno}")
+            if e in members:
+                raise ParseError(f"duplicate element line {lineno}")
+            members.add(e)
+        sets.append(numbers)
+    for extra in range(1 + count, len(lines)):
+        if lines[extra]:
+            raise ParseError(f"unexpected content line {extra + 1}")
+    return SetCoverInstance(m, sets)
 
 
 def mincis_reduce_by_frozensets(inst) -> tuple[frozenset[int], ...]:

@@ -4,10 +4,11 @@ import copy
 import pickle
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -34,6 +35,7 @@ from oracles import (
     greedy_cover_by_rescan,
     harmonic,
     min_cover_size,
+    parse_set_cover_by_lines,
 )
 from strategies import cover_instances
 
@@ -337,6 +339,78 @@ class TestEmbedding:
             assert {r for r, c in lifted.b.stars if c == j} == set(s)
 
 
+# Cover texts for the parser referee: small signed or zero-padded numbers,
+# some padded past 18 characters, joined by spaces, tabs, unit separators
+# or non-ASCII blanks, which also pad line ends, with every line end of
+# str.splitlines.  Faults are injected: malformed tokens, elements out of
+# range (past int64 too), repeated elements, header faults, too few set
+# lines and trailing content.  Numbers past int64 stay off the header
+# line: for a universe of 2**63 or more the reader compares an element
+# past int64 as 2**63 - 1, where the line parser compares it exactly or
+# fails with OverflowError.
+_COVER_ENDS = ["\n"] * 8 + ["\r\n"] * 4 + ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_COVER_GAPS = [" "] * 8 + ["  ", "\t", "\x1f", " \x1f ", "\xa0", "\u3000"]
+_COVER_PADS = [""] * 8 + [" ", "\t", "\x1f", "\xa0", "\u3000", "\u2003"]
+_COVER_WORDS = ["x", "1.0", "+", "-", "--1", "1_0", "\u0663", "#", "0x1", "1,2", "\x00"]
+_COVER_TRAILERS = ["", "", " ", "\xa0", "\x1f", "\u3000 ", "junk", "0", "# note"]
+
+
+def _spelled(draw, value: int) -> str:
+    """``value`` with an optional sign and zero padding, sometimes past 18 characters."""
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "", "+"] + ["-"] * (value == 0)))
+    return sign + draw(st.sampled_from(["", "", "", "0", "0" * 18, "0" * 21])) + str(abs(value))
+
+
+@st.composite
+def cover_texts(draw):
+    m = draw(st.integers(1, 4))
+    sets = draw(st.lists(st.lists(st.integers(0, m - 1), unique=True, max_size=m), max_size=5))
+    if draw(st.booleans()):  # so that many texts parse
+        sets.append(draw(st.permutations(range(m))))
+    rows = [[_spelled(draw, e) for e in s] for s in sets]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        if not rows:
+            break
+        j = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["malformed", "out of range", "repeat"]))
+        if kind == "malformed":
+            token = draw(st.sampled_from(_COVER_WORDS))
+        elif kind == "out of range" or not sets[j]:
+            token = draw(st.sampled_from([str(m), str(m + 3), "-1", "-0000000000000000000007", "99999999999999999999"]))
+        else:
+            token = _spelled(draw, draw(st.sampled_from(sets[j])))
+        rows[j].insert(draw(st.integers(0, len(rows[j]))), token)
+    head = [_spelled(draw, m), _spelled(draw, len(rows) + draw(st.sampled_from([0] * 8 + [-1, 1, 2])))]
+    kind = draw(st.sampled_from(["pair"] * 12 + ["one", "three", "word", "zero universe", "negative count", "big"]))
+    if kind in ("one", "three"):
+        head = head[:1] if kind == "one" else head + ["0"]
+    elif kind == "word":
+        head[1] = draw(st.sampled_from(_COVER_WORDS))
+    elif kind == "zero universe":
+        head[0] = _spelled(draw, 0)
+    elif kind == "negative count":
+        head[1] = "-1"
+    elif kind == "big":  # past int32, short of int64
+        head[0] = draw(st.sampled_from(["2147483648", "1000000000000000000"]))
+    lines = [head, *rows] + [[t] for t in draw(st.lists(st.sampled_from(_COVER_TRAILERS), max_size=3))]
+    text = "".join(
+        draw(st.sampled_from(_COVER_PADS)) + draw(st.sampled_from(_COVER_GAPS)).join(tokens)
+        + draw(st.sampled_from(_COVER_PADS)) + draw(st.sampled_from(_COVER_ENDS))
+        for tokens in lines
+    )
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(parse, text):
+    """The parsed cover, or the ValueError's type and message; any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
 class TestParsing:
     GOLDEN = "2 4\n0\n0 1\n1\n\n"
 
@@ -381,6 +455,23 @@ class TestParsing:
         with pytest.raises(ParseError, match="unexpected content line 4"):
             parse_set_cover("1 1\n0\n\njunk\n")
 
+    @pytest.mark.parametrize("end", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_a_last_empty_set_line_counts_after_any_line_end(self, end):
+        # str.splitlines ends a line at each of these, so the last line is the empty set 1
+        assert parse_set_cover(f"1 2{end}0{end}{end}") == family(1, {0}, ())
+
     @given(cover_instances())
     def test_round_trip(self, inst):
         assert parse_set_cover(serialize_set_cover(inst)) == inst
+
+    @settings(max_examples=400)
+    @given(cover_texts())
+    def test_matches_the_line_parser(self, text):
+        assert _outcome(parse_set_cover, text) == _outcome(parse_set_cover_by_lines, text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_written_covers_never_reach_the_line_walk(self, end, walks):
+        for seed in range(3):
+            inst = random_family(400, 3, seed)
+            assert parse_set_cover(serialize_set_cover(inst).replace("\n", end)) == inst
+        assert walks == []
