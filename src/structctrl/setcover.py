@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .structmat import ParseError, ProblemInstance, StructMatrix, identity_pattern
-from .structmat import _INT64_MAX, _block, _column_indices, _is_integer, _lf_bytes, _numbers
+from .structmat import _INT64_MAX, _block, _check_dimensions, _column_indices, _is_integer, _lf_bytes, _numbers
 
 _FAILED_CAP = 1 << 16  # a component's table of failed subproblems is emptied at this size
 _SLACK = 1e-9  # how far a dual sum must pass a budget to cut: far above its float rounding
@@ -46,6 +46,7 @@ def _columns(m: StructMatrix) -> dict[int, list[int]]:
 def _incidence(universe_size: int, sets) -> StructMatrix:
     """The incidence pattern of a family given as collections of integer elements."""
     members = [list(s) for s in sets]
+    _check_dimensions(universe_size, len(members))  # before numpy meets an element past int64
     for j, s in enumerate(members):  # checked here to name the set; the array skips the constructor's scan
         for e in s:
             if not _is_integer(e):
@@ -180,7 +181,8 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
 
     Set j holds the elements ``sets[j]``.  One pass over the sets lists
     the sets ``holders[e]`` that hold element e, ascending by
-    construction.  One bounded search, ``completion``, both
+    construction, and ``widest[j]``, the size of the largest set from j
+    on.  One bounded search, ``completion``, both
     proves the size and pins the witness.  From the greedy cover it is
     asked for a smaller cover until it finds none, which proves the size
     k minimum.  Then, in index order, set j is taken when some size-k
@@ -205,6 +207,9 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
     for j, s in enumerate(sets):
         for e in s:
             holders[e].append(j)
+    widest = [0] * (len(sets) + 1)
+    for j in range(len(sets) - 1, -1, -1):
+        widest[j] = max(widest[j + 1], len(sets[j]))
     failed: dict[int, int] = {}
 
     def completion(uncovered: int, first: int, budget: int) -> tuple[int, ...] | None:
@@ -212,37 +217,38 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
 
         Depth first on its own stack, so depth is not bounded by the
         recursion limit.  It branches on the lowest uncovered element,
-        larger gains first.  A node with a budget of r sets left is cut,
-        cheaper test first, when ``failed`` refutes it or when
-        ``_dual_bound`` exceeds r.  The bound also cuts every node whose
-        r largest gains cannot cover what is left: each set carries at
-        most its gain of the dual's mass, so the sum then passes r by at
-        least 1/(largest gain).  Under the children of each node the
-        bounds leave, or in their place when they cut it, goes a marker
-        that enters the node in ``failed`` when it pops: no child has
-        returned.  ``budget`` is never negative, so neither is r.
+        larger gains first.  ``top`` is the size of the pool's widest set.
+        A node with a budget of r sets left is cut, cheapest test first,
+        when ``failed`` refutes it, when more elements are left than
+        r * ``top``, or when ``_dual_bound`` exceeds r.  The dual
+        dominates the middle test, since each element weighs at least
+        1/``top``, so that test cuts no node the dual keeps and only
+        spares its pass.  A node that either bound cuts enters ``failed``
+        at once.  Only an expanded node pushes a marker, under its
+        children, that enters the node in ``failed`` when it pops: no
+        child has returned.  ``budget`` is never negative, so neither is r.
         """
-        pool = masks[first:]
+        pool, top = masks[first:], widest[first]
         pending: list = [(uncovered, ())]
         while pending:
             left, path = pending.pop()
             if left < 0:  # the marker of node -left, path its budget: no child returned
-                if len(failed) >= _FAILED_CAP:  # start afresh: what is near the search counts most
-                    failed.clear()
-                failed[-left] = path
-                continue
-            if not left:
+                left, r = -left, path
+            elif not left:
                 return path
-            r = budget - len(path)
-            if failed.get(left, -1) >= r:
-                continue
-            gains = [(m & left).bit_count() for m in pool]
-            pending.append((-left, r))
-            if _dual_bound(left, gains, pool) > r + _SLACK:
-                continue
-            near = holders[(left & -left).bit_length() - 1]
-            candidates = sorted((j for j in near if j >= first), key=lambda j: (gains[j - first], -j))
-            pending.extend((left & ~masks[j], (*path, j)) for j in candidates)
+            else:
+                r = budget - len(path)
+                if failed.get(left, -1) >= r:
+                    continue
+                if left.bit_count() <= r * top and _dual_bound(left, pool, top) <= r + _SLACK:
+                    pending.append((-left, r))
+                    near = (j for j in holders[(left & -left).bit_length() - 1] if j >= first)
+                    candidates = sorted(near, key=lambda j: ((masks[j] & left).bit_count(), -j))
+                    pending.extend((left & ~masks[j], (*path, j)) for j in candidates)
+                    continue
+            if len(failed) >= _FAILED_CAP:  # start afresh: what is near the search counts most
+                failed.clear()
+            failed[left] = r
         return None
 
     universe = (1 << universe_size) - 1
@@ -267,21 +273,25 @@ def _connected_min_cover(sets: list[list[int]], universe_size: int) -> tuple[int
     return tuple(chosen)
 
 
-def _dual_bound(left: int, gains: list[int], pool: list[int]) -> float:
+def _dual_bound(left: int, pool: list[int], top: int) -> float:
     """A lower bound on the number of sets in ``pool`` that cover ``left``; inf when none do.
 
-    Set i is the mask ``pool[i]``, with gain ``gains[i]`` on ``left``.  Each
-    element weighs 1/g, g the largest gain among its holders, so no set
-    holds more than 1: a feasible covering LP dual, whose sum bounds any cover.
+    No set in ``pool`` has more than ``top`` elements.  Each element weighs
+    1/g, g the largest gain on ``left`` among its holders, so no set holds
+    more than 1: a feasible covering LP dual, whose sum bounds any cover.
+    One pass ORs each set's hit on ``left`` into ``level[gain]``; the walk
+    from ``top`` down then weighs the elements first met at level g.
     """
+    level = [0] * (top + 1)
+    for m in pool:
+        hit = m & left
+        level[hit.bit_count()] |= hit
     total = 0.0
-    for i in sorted(range(len(pool)), key=gains.__getitem__, reverse=True):
-        hit = pool[i] & left
+    for g in range(top, 0, -1):
+        hit = level[g] & left
         if hit:
-            total += hit.bit_count() / gains[i]
+            total += hit.bit_count() / g
             left ^= hit
-            if not left:
-                break
     return float("inf") if left else total
 
 
@@ -308,6 +318,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
         m, size = map(int, text.splitlines()[0].split())
     if lines < 1 + size:
         raise ParseError(f"expected {size} set lines, found {lines - 1}")
+    _check_dimensions(m, size)  # before faults are placed among elements clamped to int64
     extra = np.flatnonzero(count[1 + size :])  # nothing is counted from a malformed line on
     bad = 1 + size + int(extra[0]) if extra.size else malformed
     fault = None if bad is None else f"{'malformed element' if bad <= size else 'unexpected content'} line {bad + 1}"

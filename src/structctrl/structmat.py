@@ -70,6 +70,14 @@ def _column_indices(m: StructMatrix, selection, noun: str) -> list[int]:
     return sorted(set(picked))
 
 
+def _check_dimensions(rows: int, cols: int) -> None:
+    """Refuse a rows x cols shape that int32 arrays cannot index, before anything is built."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"dimensions must be nonnegative, got {rows}x{cols}")
+    if max(rows, cols) > _MAX_DIMENSION:
+        raise ValueError(f"dimensions must be at most 2**31 - 1, got {rows}x{cols}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StructMatrix:
     """A {0, star} matrix given by its dimensions and star positions.
@@ -93,10 +101,7 @@ class StructMatrix:
 
     def __post_init__(self, stars) -> None:
         """Check the dimensions and stars and build ``csc``; ``perfbench/tracing.py`` wraps it."""
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"dimensions must be nonnegative, got {self.rows}x{self.cols}")
-        if max(self.rows, self.cols) > _MAX_DIMENSION:
-            raise ValueError(f"dimensions must be at most 2**31 - 1, got {self.rows}x{self.cols}")
+        _check_dimensions(self.rows, self.cols)
         if 12 * self.cols > _BUDGET_BYTES:  # int32 indptr and int64 counts, before allocating either
             raise ValueError(
                 f"{self.rows}x{self.cols} pattern needs {12 * self.cols / 2**30:.1f} GiB for its column arrays, "
@@ -164,7 +169,7 @@ def _star_columns(m: StructMatrix) -> np.ndarray:
     indptr = m.csc[0]
     if m.cols > indptr[-1]:  # the repeat would build two O(cols) arrays for fewer stars
         return np.searchsorted(indptr, np.arange(indptr[-1], dtype=indptr.dtype), side="right") - 1
-    return np.repeat(np.arange(m.cols), np.diff(indptr))
+    return np.repeat(np.arange(m.cols, dtype=indptr.dtype), np.diff(indptr))
 
 
 def _self_looped(m: StructMatrix) -> np.ndarray:

@@ -8,8 +8,9 @@ selection by one dense weighted assignment.  The rest are the
 package's earlier, slower paths, kept when they were replaced: the
 line-by-line pattern and cover parsers, the covering reduction that built one
 frozenset per input, the greedy cover that rescans every gain,
-the exact cover's two searches (size, then witness) and its one
-search on frozensets, the condensation
+the exact cover's two searches (size, then witness), its one
+search on frozensets and its covering dual summed set by set in
+order of gain, the condensation
 built from tuples and sets with its per-vertex report, and the numeric
 probe's star-by-star realisation.
 """
@@ -241,6 +242,8 @@ def parse_set_cover_by_lines(text: str) -> SetCoverInstance:
     m, count = head
     if len(lines) < 1 + count:
         raise ParseError(f"expected {count} set lines, found {len(lines) - 1}")
+    if m > 2**31 - 1:  # the universe is refused before any set line is read
+        raise ValueError(f"dimensions must be at most 2**31 - 1, got {m}x{count}")
     sets: list[list[int]] = []
     for offset in range(count):
         lineno = offset + 2
@@ -404,6 +407,25 @@ def exact_min_cover_by_frozensets(inst) -> tuple[int, ...]:
         chosen.append(j)
         uncovered -= s
     return tuple(chosen)
+
+
+def dual_bound_by_sorted_gains(left: int, gains: list[int], pool: list[int]) -> float:
+    """The exact search's covering LP dual on the bitmask ``left``, set by set.
+
+    Set i is the mask ``pool[i]``, with gain ``gains[i]`` on ``left``.  The
+    sets are walked by gain, largest first, and each element weighs 1/g,
+    g the gain of the first set that holds it; inf when ``pool`` misses
+    part of ``left``.
+    """
+    total = 0.0
+    for i in sorted(range(len(pool)), key=gains.__getitem__, reverse=True):
+        hit = pool[i] & left
+        if hit:
+            total += hit.bit_count() / gains[i]
+            left ^= hit
+            if not left:
+                break
+    return float("inf") if left else total
 
 
 def condense_by_tuples(g) -> tuple[tuple[int, ...], int, frozenset[int]]:
