@@ -43,8 +43,9 @@ class Condensation:
         """``sources`` as a set of ints, built on first use."""
         return frozenset(self.sources.tolist())
 
-    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """States sorted by SCC, then index; SCC s is ``order[bounds[s]:bounds[s + 1]]``."""
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """States sorted by SCC, then index; SCC s is ``order[bounds[s]:bounds[s + 1]]``. Built on first use."""
         order = np.argsort(self.scc_id, kind="stable")
         return order, np.searchsorted(self.scc_id[order], np.arange(self.scc_count + 1))
 
@@ -86,7 +87,7 @@ def condensation_report(cond: Condensation) -> str:
 
     With no SCC at all the report is one empty line.
     """
-    order, bounds = cond._groups()
+    order, bounds = cond.groups
     grouped = [f"x{v}" for v in (order + 1).tolist()]
     markers = np.full(cond.scc_count, "", dtype=object)
     markers[cond.sources] = " NON-TOP"

@@ -21,9 +21,10 @@ With k non-top-linked SCCs and nu the size of the extended matching,
 every selection needs at least n + k - nu states and this one uses at
 most that many, so it is optimal.
 
-``leader_selection_unconstrained`` is that case when every agent has a
-self-loop: the diagonal is then a perfect matching, nu = n + k, and the
-smallest agent of each non-top-linked SCC leads, with no matching run.
+When every state has a self-loop the diagonal already matches every
+row, so nu = n and the bound is k: dedicated selection then runs no
+matching and takes the smallest state of each non-top-linked SCC.
+``leader_selection_unconstrained`` is exactly that case.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .ctrl import is_structurally_controllable
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
-from .setcover import SetCoverInstance, exact_min_cover, greedy_cover
+from .setcover import SetCoverInstance, _first_ten, exact_min_cover, greedy_cover
 from .structmat import ProblemInstance, StructMatrix, _self_looped, _star_columns
 
 
@@ -89,16 +90,16 @@ def mincis_reduce(inst: ProblemInstance) -> SetCoverInstance:
         )
     cond = inst.a.condensation
     # number the sources 0..k-1 by smallest member state, -1 elsewhere
-    order, starts = cond._groups()
+    order, starts = cond.groups
     ordinal = np.full(cond.scc_count, -1)
     ordinal[cond.sources[np.argsort(order[starts[cond.sources]])]] = np.arange(len(cond.sources))
     element = ordinal[cond.scc_id[inst.b.csc[1]]]  # per input star, column by column
     hit = element >= 0
     k = len(cond.sources)
-    missing = np.flatnonzero(np.bincount(element[hit], minlength=k) == 0).tolist()
-    if missing:
+    missing = np.flatnonzero(np.bincount(element[hit], minlength=k) == 0)
+    if missing.size:
         raise InfeasibleInstance(
-            f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
+            f"infeasible instance: non-top-linked SCCs {_first_ten(missing, missing.size)} actuated by no input"
         )
     pairs = np.column_stack((element, _star_columns(inst.b)))[hit]
     return SetCoverInstance(k, StructMatrix(k, inst.p, pairs))
@@ -148,14 +149,17 @@ def brute_force_mincis(inst: ProblemInstance, cap: int = 20) -> SelectionResult:
 def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     """Minimum set of states to actuate with their own dedicated inputs.
 
-    Always feasible: actuating every state suffices.  Exact, in O(E sqrt(n))
-    for E stars; a non-square pattern raises ValueError from its condensation.
+    Always feasible: actuating every state suffices.  Exact, in O(E sqrt(n)) for E
+    stars, or O(E) with a self-loop on every state; a non-square pattern raises
+    ValueError from its condensation.
     """
     cond = a.condensation
-    order, bounds = cond._groups()
-    phantoms = [order[bounds[s] : bounds[s + 1]] for s in cond.sources.tolist()]
-    owner = _match_rows(a.csc, a.rows, phantoms)
-    unmatched = np.flatnonzero((owner < 0) | (owner >= a.cols))
+    order, bounds = cond.groups
+    unmatched = np.empty(0, dtype=np.intp)
+    if not _self_looped(a).all():  # with a loop on every state the diagonal matches every row
+        phantoms = [order[bounds[s] : bounds[s + 1]] for s in cond.sources.tolist()]
+        owner = _match_rows(a.csc, a.rows, phantoms)
+        unmatched = np.flatnonzero((owner < 0) | (owner >= a.cols))
     missed = cond.sources[~np.isin(cond.sources, cond.scc_id[unmatched])]
     chosen = np.concatenate((unmatched, order[bounds[missed]])).tolist()
     return SelectionResult(tuple(chosen), True, "exact", len(chosen))
@@ -172,14 +176,11 @@ def _require_self_loops(w: StructMatrix) -> None:
 def leader_selection_unconstrained(w: StructMatrix) -> SelectionResult:
     """Fewest leaders when any agent may lead: the smallest agent of each non-top-linked SCC.
 
-    The coupling pattern must carry a self-loop on every agent (each
-    agent weighs its own state).  The loops form a perfect matching, so
-    one leader per source SCC, any member, is both needed and enough.
+    Every agent must carry a self-loop (it weighs its own state), which
+    makes this dedicated selection's self-loop case: no matching is run.
     """
     _require_self_loops(w)
-    order, bounds = w.condensation._groups()
-    chosen = order[bounds[w.condensation.sources]].tolist()
-    return SelectionResult(tuple(chosen), True, "exact", len(chosen))
+    return dedicated_input_selection(w)
 
 
 def leader_selection_constrained(w: StructMatrix, b: StructMatrix) -> SelectionResult:

@@ -35,6 +35,11 @@ class UncoverableError(ValueError):
     """The family's union misses part of the universe."""
 
 
+def _first_ten(smallest: np.ndarray, count: int) -> str:
+    """Error text for ``count`` numbers from an ascending array that starts with their ten smallest."""
+    return f"{smallest[:10].tolist()}{f' and {count - 10} more' if count > 10 else ''}"
+
+
 def _columns(m: StructMatrix) -> dict[int, list[int]]:
     """The rows of each non-empty column of a pattern, ascending, as Python lists keyed by column."""
     indptr, rows = m.csc
@@ -82,9 +87,8 @@ class SetCoverInstance:
             raise ValueError(f"incidence has {incidence.rows} rows for a universe of {universe_size}")
         seen = np.unique(incidence.csc[1])
         if seen.size < universe_size:  # the first seen.size + 10 numbers hold the ten smallest missing
-            missing = np.setdiff1d(np.arange(min(universe_size, seen.size + 10)), seen)[:10].tolist()
-            more = universe_size - seen.size - len(missing)
-            raise UncoverableError(f"uncoverable: elements {missing}{f' and {more} more' if more else ''} in no set")
+            missing = np.setdiff1d(np.arange(min(universe_size, seen.size + 10)), seen)
+            raise UncoverableError(f"uncoverable: elements {_first_ten(missing, universe_size - seen.size)} in no set")
         object.__setattr__(self, "universe_size", int(universe_size))
         object.__setattr__(self, "incidence", incidence)
 

@@ -275,7 +275,7 @@ def mincis_reduce_by_frozensets(inst) -> tuple[frozenset[int], ...]:
             "reduction precondition failed: state pattern admits no perfect matching"
         )
     cond = inst.a.condensation
-    order, starts = cond._groups()
+    order, starts = cond.groups
     ordinal = np.full(cond.scc_count, -1)
     ordinal[cond.sources[np.argsort(order[starts[cond.sources]])]] = np.arange(len(cond.sources))
     indptr, rows = inst.b.csc
@@ -284,8 +284,9 @@ def mincis_reduce_by_frozensets(inst) -> tuple[frozenset[int], ...]:
     covered = element[hit]
     missing = np.flatnonzero(np.bincount(covered, minlength=len(cond.sources)) == 0).tolist()
     if missing:
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise InfeasibleInstance(
-            f"infeasible instance: non-top-linked SCCs {missing} actuated by no input"
+            f"infeasible instance: non-top-linked SCCs {missing[:10]}{more} actuated by no input"
         )
     bounds = np.concatenate(([0], np.cumsum(hit)))[indptr].tolist()
     elements = covered.tolist()

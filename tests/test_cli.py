@@ -414,6 +414,14 @@ class TestOneCondensation:
             assert brute_force_mincis(inst).chosen == (1,)
         assert len(condensations) == 1
 
+    def test_one_label_sort_per_condensation(self, monkeypatch):
+        sorts = _counted(monkeypatch, graph.Condensation.groups, "func")
+        inst = two_community_network()
+        assert graph.condensation_report(inst.a.condensation).count("NON-TOP") == 2
+        assert mincis_reduce(inst).universe_size == 2
+        assert dedicated_input_selection(inst.a) == leader_selection_unconstrained(inst.a)
+        assert len(sorts) == 1
+
     @pytest.mark.parametrize("argv", [["check"], ["solve", "--mode", "greedy"]])
     def test_one_matching_per_command(self, argv, swapped_file, demo_file, matchings, capsys):
         # the demo's self-loops are its perfect matching, so it needs no matching kernel

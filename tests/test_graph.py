@@ -114,7 +114,7 @@ class TestCondense:
     @given(square_matrices(max_n=7))
     def test_partition_matches_reachability_oracle(self, a):
         cond = condense(state_digraph(a))
-        order, bounds = cond._groups()
+        order, bounds = cond.groups
         groups = frozenset(frozenset(order[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))
         edges = {(c, r) for r, c in a.stars}
         blocks = scc_partition(a.rows, edges)

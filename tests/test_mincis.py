@@ -1,6 +1,7 @@
 """Input selection: covering reduction, solvers, dedicated and leader forms."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -117,6 +118,12 @@ class TestReduce:
         with pytest.raises(InfeasibleInstance, match=r"SCCs \[0, 1\] actuated by no input"):
             mincis_reduce(inst)
 
+    def test_infeasible_names_ten_sources_then_counts(self):
+        inst = ProblemInstance(identity_pattern(12), StructMatrix(12, 0, frozenset()))
+        named = re.escape("SCCs [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 2 more actuated by no input")
+        with pytest.raises(InfeasibleInstance, match=named):
+            mincis_reduce(inst)
+
 
 class TestSolve:
     def test_exact_on_the_two_community_network(self):
@@ -211,6 +218,16 @@ class TestDedicated:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             dedicated_input_selection(StructMatrix(2, 3, frozenset()))
+
+    @given(square_matrices(max_n=8))
+    def test_self_looped_pattern_takes_the_smallest_witness_with_no_matching(self, a):
+        w = _with_diagonal(a)
+        with pytest.MonkeyPatch.context() as patch:
+            matchings = _counted(patch, matching, "maximum_bipartite_matching")
+            fast = dedicated_input_selection(w)
+        assert not matchings
+        assert fast.chosen == brute_force_mincis(ProblemInstance(w, identity_pattern(w.rows))).chosen
+        assert fast == leader_selection_unconstrained(w)
 
     @given(square_matrices())
     def test_matches_the_brute_referee(self, a):
