@@ -3,22 +3,21 @@
 Both timed kernels are near linear in the pattern size: condensation
 is O(V + E), and dedicated selection is one condensation plus one
 maximum matching, O(E sqrt(V)).  Each size times the best of three runs
-on one seeded pattern of mean degree 4 (condensation) or 3 (dedicated
-selection).  On a few hundred states the fitted log-log slope mostly
-shows fixed per-call costs.
+on seeded patterns of about mean_degree * n uniform stars drawn in O(stars),
+4 a state for condensation and 3 for dedicated selection.  The slope shows
+fixed per-call costs at a few hundred states, kernel growth at 10^3 to 10^5.
 """
 
 from __future__ import annotations
 
-import copy
-import random
 import timeit
 
 import numpy as np
 
-from .generate import random_struct_matrix
+from .ctrl import _MASK64
 from .graph import condense, state_digraph
 from .mincis import dedicated_input_selection
+from .structmat import _BUDGET_BYTES, StructMatrix
 
 _REPEATS = 3
 
@@ -28,33 +27,33 @@ def best_time(fn) -> float:
     return min(timeit.repeat(fn, number=1, repeat=_REPEATS))
 
 
-def _checked_sizes(sizes) -> list[int]:
-    """The sizes as a list, refused before any of them is timed."""
+def _checked_sizes(sizes, mean_degree: float) -> list[int]:
+    """The sizes as a list, refused before any pattern is drawn or timed."""
     sizes = list(sizes)
     if any(n < 1 for n in sizes):
         raise ValueError("sizes must be at least 1")
+    if 24 * round(mean_degree * max(sizes, default=0)) > _BUDGET_BYTES:  # a star's int64 pair and sort key
+        raise ValueError(f"size {max(sizes)} needs more than the {_BUDGET_BYTES / 2**30:g} GiB budget for its stars")
     return sizes
 
 
-def _sparse_square(n: int, mean_degree: float, seed: int):
-    density = min(1.0, mean_degree / n)
-    return random_struct_matrix(n, n, density, random.Random(seed))
+def _sparse_square(n: int, mean_degree: float, seed: int) -> StructMatrix:
+    return StructMatrix(n, n, np.random.default_rng((seed & _MASK64, n)).integers(n, size=(round(mean_degree * n), 2)))
 
 
 def dedicated_selection_times(sizes, seed: int = 0) -> list[tuple[int, float]]:
     samples = []
-    for n in _checked_sizes(sizes):
-        a = _sparse_square(n, 3.0, seed + n)
-        # a fresh copy per run, made untimed: a pattern caches its condensation
-        copies = iter([copy.copy(a) for _ in range(_REPEATS)])
-        samples.append((n, best_time(lambda: dedicated_input_selection(next(copies)))))
+    for n in _checked_sizes(sizes, 3.0):
+        # a fresh pattern per run, drawn untimed: a pattern caches its condensation
+        patterns = iter([_sparse_square(n, 3.0, seed) for _ in range(_REPEATS)])
+        samples.append((n, best_time(lambda: dedicated_input_selection(next(patterns)))))
     return samples
 
 
 def condense_times(sizes, seed: int = 0) -> list[tuple[int, float]]:
     samples = []
-    for n in _checked_sizes(sizes):
-        g = state_digraph(_sparse_square(n, 4.0, seed + n))
+    for n in _checked_sizes(sizes, 4.0):
+        g = state_digraph(_sparse_square(n, 4.0, seed))
         samples.append((n, best_time(lambda: condense(g))))
     return samples
 

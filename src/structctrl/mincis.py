@@ -37,7 +37,7 @@ import numpy as np
 from .ctrl import is_structurally_controllable
 from .matching import PerfectMatchingRequired, _match_rows, has_perfect_matching
 from .setcover import SetCoverInstance, _first_ten, exact_min_cover, greedy_cover
-from .structmat import ProblemInstance, StructMatrix, _self_looped, _star_columns
+from .structmat import ProblemInstance, StructMatrix, _star_columns
 
 
 class InfeasibleInstance(ValueError):
@@ -156,7 +156,7 @@ def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
     cond = a.condensation
     order, bounds = cond.groups
     unmatched = np.empty(0, dtype=np.intp)
-    if not _self_looped(a).all():  # with a loop on every state the diagonal matches every row
+    if not a.self_looped.all():  # with a loop on every state the diagonal matches every row
         phantoms = [order[bounds[s] : bounds[s + 1]] for s in cond.sources.tolist()]
         owner = _match_rows(a.csc, a.rows, phantoms)
         unmatched = np.flatnonzero((owner < 0) | (owner >= a.cols))
@@ -168,7 +168,7 @@ def dedicated_input_selection(a: StructMatrix) -> SelectionResult:
 def _require_self_loops(w: StructMatrix) -> None:
     if w.rows != w.cols:
         raise ValueError("agent coupling pattern must be square")
-    looped = _self_looped(w)
+    looped = w.self_looped
     if not looped.all():
         raise ValueError(f"agent {looped.argmin()} has no self-loop; leader selection needs one per agent")
 

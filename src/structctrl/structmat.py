@@ -146,7 +146,16 @@ class StructMatrix:
         from .matching import _match_rows  # matching imports this module
         if self.rows != self.cols:
             raise ValueError("perfect matching needs a square pattern")
-        return bool(_self_looped(self).all() or (_match_rows(self.csc, self.rows) >= 0).all())
+        return bool(self.self_looped.all() or (_match_rows(self.csc, self.rows) >= 0).all())
+
+    @cached_property
+    def self_looped(self) -> np.ndarray:
+        """Read-only bool mask of the states of this square pattern whose diagonal entry is a star,
+        built on first use."""
+        rows = self.csc[1]  # a bincount, since indexing by a mask was slower
+        looped = np.bincount(rows, weights=rows == _star_columns(self), minlength=self.rows) > 0
+        looped.flags.writeable = False
+        return looped
 
     def __reduce__(self):  # copies go through the checks, stay read-only and carry no cache
         return StructMatrix, (self.rows, self.cols, np.column_stack((self.csc[1], _star_columns(self))))
@@ -170,12 +179,6 @@ def _star_columns(m: StructMatrix) -> np.ndarray:
     if m.cols > indptr[-1]:  # the repeat would build two O(cols) arrays for fewer stars
         return np.searchsorted(indptr, np.arange(indptr[-1], dtype=indptr.dtype), side="right") - 1
     return np.repeat(np.arange(m.cols, dtype=indptr.dtype), np.diff(indptr))
-
-
-def _self_looped(m: StructMatrix) -> np.ndarray:
-    """Bool mask of the states of square ``m`` whose diagonal entry is a star."""
-    rows = m.csc[1]
-    return np.bincount(rows, weights=rows == _star_columns(m), minlength=m.rows) > 0  # a mask would index slower
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import structctrl
-from structctrl import bench, cli, graph, matching
+from structctrl import bench, cli, graph, matching, structmat
 from structctrl.bench import condense_times, dedicated_selection_times, loglog_slope
 from structctrl.ctrl import is_structurally_controllable
 from structctrl.cli import main
@@ -268,6 +269,10 @@ class TestBench:
         assert lines[1].startswith("n=60 time=")
         assert lines[2].startswith("log-log slope:")
 
+    def test_takes_a_negative_seed(self, capsys):
+        assert main(["bench", "--seed", "-5000", "--sizes", "30,60"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("log-log slope:")
+
     def test_needs_two_sizes(self, capsys):
         assert main(["bench", "--sizes", "30"]) == 2
         assert "two sizes" in capsys.readouterr().err
@@ -294,6 +299,36 @@ class TestBench:
         monkeypatch.setattr(bench, "best_time", lambda fn: pytest.fail("timed before refusing"))
         with pytest.raises(ValueError, match="sizes must be at least 1"):
             timer(sizes)
+
+    @pytest.mark.parametrize("timer, degree", [(dedicated_selection_times, 3), (condense_times, 4)])
+    def test_timers_refuse_sizes_over_the_memory_budget(self, timer, degree, monkeypatch):
+        monkeypatch.setattr(bench, "best_time", lambda fn: pytest.fail("timed before refusing"))
+        monkeypatch.setattr(bench, "_sparse_square", lambda *args: pytest.fail("drawn before refusing"))
+        fits = structmat._BUDGET_BYTES // (24 * degree)  # 16 bytes a star's pair and 8 its sort key
+        assert bench._checked_sizes([10, fits], degree) == [10, fits]
+        with pytest.raises(ValueError, match=f"size {fits + 1} needs more than the 1 GiB budget"):
+            timer([10, fits + 1])
+
+    def test_cli_refuses_a_size_over_the_memory_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "best_time", lambda fn: pytest.fail("timed before refusing"))
+        too_big = structmat._BUDGET_BYTES // 72 + 1
+        assert main(["bench", "--sizes", f"100,{too_big}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"size {too_big} needs" in captured.err
+
+    def test_draw_is_seeded(self):
+        n = 1000
+        for seed in (0, 7, -5000):
+            a = bench._sparse_square(n, 3.0, seed)
+            assert 2.9 * n <= a.csc[1].size <= 3 * n  # a repeated pair counts once
+            assert a == bench._sparse_square(n, 3.0, seed)
+        assert len({bench._sparse_square(n, 3.0, seed) for seed in (0, 1, -1, -5000)}) == 4
+
+    def test_draw_costs_stars_not_cells(self):
+        # drawing these two patterns by scanning all n^2 cells took about 27 s
+        start = time.perf_counter()
+        condense_times([10_000, 20_000])
+        assert time.perf_counter() - start < 5.0
 
     def test_slope_needs_two_different_sizes(self):
         with pytest.raises(ValueError, match="different sizes"):
@@ -430,6 +465,14 @@ class TestOneCondensation:
             assert main([argv[0], path, *argv[1:]]) == 0
             assert len(matchings) == count
 
+    def test_one_self_loop_mask_per_pattern(self, monkeypatch):
+        columns = _counted(monkeypatch, structmat, "_star_columns")
+        w = two_community_network().a  # a self-loop on every agent
+        for count in (1, 0):  # the mask is built on the first selection and read on the second
+            columns.clear()
+            assert leader_selection_unconstrained(w).objective == 2
+            assert len(columns) == count
+
     def test_bench_condenses_in_every_timed_run(self, condensations):
         dedicated_selection_times([50, 60])
         assert len(condensations) == 6
@@ -443,7 +486,7 @@ class TestOneCondensation:
         assert a.perfectly_matchable
         twin = duplicate(a)
         assert twin == a
-        assert "condensation" not in vars(twin) and "perfectly_matchable" not in vars(twin)
+        assert not {"condensation", "perfectly_matchable", "self_looped"} & vars(twin).keys()
         rebuilt = twin.condensation
         assert len(condensations) == 2
         assert rebuilt.scc_count == cond.scc_count

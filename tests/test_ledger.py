@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 from structctrl.cli import main
+from structctrl.ctrl import is_structurally_controllable
 from structctrl.mincis import dedicated_input_selection, leader_selection_unconstrained
-from structctrl.structmat import StructMatrix
+from structctrl.structmat import StructMatrix, parse_instance
 
 N = 100_000
 SELECTION_BYTES_PER_STAR = 4 * 38
 CLI_BYTES_PER_STAR = 4 * 83
+PARSE_BYTES_PER_STAR = 4 * 71
+CONTROLLABILITY_BYTES_PER_STAR = 4 * 23
 
 
 def _state_stars(seed: int, diagonal: bool) -> np.ndarray:
@@ -25,6 +28,22 @@ def _state_stars(seed: int, diagonal: bool) -> np.ndarray:
     if diagonal:
         pairs = np.concatenate((pairs, np.repeat(np.arange(N), 2).reshape(-1, 2)))
     return np.unique(pairs, axis=0)
+
+
+def _write_instance(path, state: np.ndarray, inputs: np.ndarray, p: int) -> None:
+    lines = [f"{N} {N}", *(f"{r} {c}" for r, c in state.tolist()), "---", f"{N} {p}"]
+    lines.extend(f"{r} {c}" for r, c in inputs.tolist())
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def feasible_file(tmp_path_factory):
+    """N self-looped states with 3N random stars, each actuated by one of N/10 inputs; and its star count."""
+    state = _state_stars(15, diagonal=True)
+    inputs = np.column_stack((np.arange(N), np.random.default_rng(16).integers(0, N // 10, N)))
+    path = tmp_path_factory.mktemp("ledger") / "feasible.instance"
+    _write_instance(path, state, inputs, N // 10)
+    return path, len(state) + N
 
 
 def _traced_peak(call):
@@ -52,10 +71,8 @@ def test_reduce_on_an_infeasible_file(tmp_path, capsys):
     # thousands of source SCCs and 50 one-star inputs: most sources go unactuated
     state = _state_stars(13, diagonal=True)
     inputs = np.column_stack((np.random.default_rng(14).choice(N, 50, replace=False), np.arange(50)))
-    lines = [f"{N} {N}", *(f"{r} {c}" for r, c in state.tolist()), "---", f"{N} 50"]
-    lines.extend(f"{r} {c}" for r, c in inputs.tolist())
     path = tmp_path / "unactuated.instance"
-    path.write_text("\n".join(lines) + "\n")
+    _write_instance(path, state, inputs, 50)
     code, peak = _traced_peak(lambda: main(["reduce", str(path)]))
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -65,3 +82,27 @@ def test_reduce_on_an_infeasible_file(tmp_path, capsys):
     assert captured.err.startswith("error: infeasible instance: non-top-linked SCCs [")
     assert " more actuated by no input" in captured.err
     assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
+def test_parse_peak(feasible_file):
+    path, stars = feasible_file
+    text = path.read_text()
+    inst, peak = _traced_peak(lambda: parse_instance(text))
+    assert inst.n == N and inst.p == N // 10
+    assert peak <= PARSE_BYTES_PER_STAR * stars, f"{peak / stars:.0f} bytes per star"
+
+
+def test_controllability_peak(feasible_file):
+    path, stars = feasible_file
+    inst = parse_instance(path.read_text())
+    verdict, peak = _traced_peak(lambda: is_structurally_controllable(inst, range(inst.p)))
+    assert verdict
+    assert peak <= CONTROLLABILITY_BYTES_PER_STAR * stars, f"{peak / stars:.0f} bytes per star"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["solve", "--mode", "greedy"], ["solve"]], ids=" ".join)
+def test_cli_peak(argv, feasible_file, capsys):
+    path, stars = feasible_file
+    code, peak = _traced_peak(lambda: main([argv[0], str(path), *argv[1:]]))
+    assert code == 0, capsys.readouterr().err
+    assert peak <= CLI_BYTES_PER_STAR * stars, f"{peak / stars:.0f} bytes per star"
